@@ -1,0 +1,388 @@
+"""Complete subgroup lattice enumeration and derived distinguished subgroups.
+
+Enumeration walks canonical generating chains instead of closing the
+cyclic subgroups under undirected pairwise joins: every subgroup K has a
+unique chain c_1 < c_2 < ... < c_m where c_(i+1) is the least element of
+K outside <c_1.. c_i>, and prefixes of canonical chains are canonical.
+Extending each discovered subgroup H only by elements a that are
+
+  * larger than H's last chain generator,
+  * minimal in their right coset H*a (any other coset member b = h*a
+    generates the same join with a smaller new minimum, so it cannot be
+    canonical), and
+  * afterwards verified to be the least new element of <H, a>,
+
+discovers each subgroup exactly once.  This reaches the same fixed
+point as pairwise join closure but stays linear in the lattice size,
+which is what makes rank-8 elementary abelian groups (417199 subgroups)
+enumerable in seconds.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import (
+    IndexOutOfRangeError,
+    LatticeOverflowError,
+    NotNormalError,
+    NotPrimePowerError,
+)
+from .groups import Group
+from .numtheory import factorize, prime_power, valuation
+
+DEFAULT_MAX_SUBGROUPS = 200000
+
+
+class Subgroup:
+    """A subgroup of a parent group, stored as a bitset plus a sorted member array."""
+
+    __slots__ = ("parent", "members", "mask", "_gens")
+
+    def __init__(self, parent: Group, members: np.ndarray, mask: int, gens: tuple = ()):
+        self.parent = parent
+        self.members = members
+        self.mask = mask
+        self._gens = gens
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
+    def __contains__(self, a: int) -> bool:
+        return bool((self.mask >> a) & 1)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subgroup)
+            and other.parent is self.parent
+            and other.mask == self.mask
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self.parent), self.mask))
+
+    def __repr__(self) -> str:
+        return f"Subgroup(order={self.order} of {self.parent!r})"
+
+    def as_group(self) -> Group:
+        """The induced group on this subgroup's members, re-indexed with
+        identity first (members are sorted, and member 0 is the identity)."""
+        parent = self.parent
+        lut = np.zeros(parent.order, dtype=np.int64)
+        lut[self.members] = np.arange(self.order)
+        sub = lut[parent.table[np.ix_(self.members, self.members)]]
+        return Group(sub)
+
+    def sort_key(self) -> tuple:
+        return (self.order, np.asarray(self.members, dtype=">u4").tobytes())
+
+
+class Lattice:
+    """All subgroups of a group in canonical order (by order, then by member list)."""
+
+    __slots__ = ("group", "subgroups", "_masks")
+
+    def __init__(self, group: Group, subgroups: list[Subgroup]):
+        self.group = group
+        self.subgroups = subgroups
+        self._masks = {sub.mask: sub for sub in subgroups}
+
+    def __len__(self) -> int:
+        return len(self.subgroups)
+
+    def __iter__(self):
+        return iter(self.subgroups)
+
+    @property
+    def counts(self) -> int:
+        return len(self.subgroups)
+
+    def whole_group(self) -> Subgroup:
+        return self.subgroups[-1]
+
+    def trivial(self) -> Subgroup:
+        return self.subgroups[0]
+
+    def by_mask(self, mask: int) -> Subgroup | None:
+        return self._masks.get(mask)
+
+    def of_order(self, k: int) -> list[Subgroup]:
+        return [sub for sub in self.subgroups if sub.order == k]
+
+
+def _mask_of(members: np.ndarray, n: int) -> int:
+    buf = np.zeros(n, dtype=bool)
+    buf[members] = True
+    return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
+
+
+def cyclic_subgroups(G: Group) -> list[Subgroup]:
+    """All subgroups <a> for a in G, deduplicated and canonically ordered."""
+    n = G.order
+    table = G.table
+    found: dict[int, Subgroup] = {}
+    dtype = table.dtype
+    for a in range(n):
+        x, members = a, [0]
+        while x != 0:
+            members.append(x)
+            x = int(table[x, a])
+        arr = np.array(sorted(members), dtype=dtype)
+        mask = _mask_of(arr, n)
+        if mask not in found:
+            found[mask] = Subgroup(G, arr, mask, gens=(a,))
+    subs = sorted(found.values(), key=Subgroup.sort_key)
+    return subs
+
+
+def generated_subgroup(G: Group, seed) -> Subgroup:
+    """Smallest subgroup containing `seed`, by worklist closure under products."""
+    n = G.order
+    table = G.table
+    seed = sorted(set(int(a) for a in seed))
+    for a in seed:
+        if not 0 <= a < n:
+            raise IndexOutOfRangeError(f"seed index {a} not in 0..{n - 1}")
+    members = {0}
+    queue = [a for a in seed if a != 0]
+    members.update(queue)
+    while queue:
+        x = queue.pop()
+        for y in list(members):
+            for prod in (int(table[x, y]), int(table[y, x])):
+                if prod not in members:
+                    members.add(prod)
+                    queue.append(prod)
+    arr = np.array(sorted(members), dtype=table.dtype)
+    return Subgroup(G, arr, _mask_of(arr, n), gens=tuple(seed))
+
+
+_BATCH_LIMIT = 1 << 22  # elements touched per vectorized coset-minima sweep
+
+
+def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Lattice:
+    """Enumerate the complete subgroup lattice (see module docstring)."""
+    n = G.order
+    table = G.table
+    dtype = table.dtype
+    abelian = G.is_abelian()
+    full_mask = (1 << n) - 1
+
+    trivial_members = np.zeros(1, dtype=dtype)
+    records: list[tuple[int, np.ndarray, tuple]] = [(1, trivial_members, ())]
+    seen = {1}
+    queue_index = 0
+    scratch = np.zeros(n, dtype=bool)
+    indices = np.arange(n, dtype=np.int64)
+
+    while queue_index < len(records):
+        mask, members, gens = records[queue_index]
+        last = gens[-1] if gens else 0
+        queue_index += 1
+        if mask == full_mask:
+            continue
+        if len(members) * n <= _BATCH_LIMIT:
+            # rows[i, b] = h_i * b, so column b holds the right coset H*b and
+            # its minimum identifies the canonical candidate for that coset
+            rows = table[members]
+            mins = rows.min(axis=0)
+            window = slice(last + 1, n)
+            for a in np.flatnonzero(mins[window] == indices[window]) + last + 1:
+                a = int(a)
+                coset = rows[:, a]
+                if abelian and (mask >> int(table[a, a])) & 1:
+                    # index-2 step: <H, a> = H u H*a, and a = min(H*a) already
+                    new_mask = mask | _mask_of(coset, n)
+                    new_members = np.sort(np.concatenate([members, coset]))
+                else:
+                    new_mask, new_members = _join_with_element(
+                        table, members, gens, a, coset, abelian, scratch, n
+                    )
+                    diff = new_mask ^ mask
+                    if (diff & -diff).bit_length() - 1 != a:
+                        continue  # a is not the least new element of the join
+                if new_mask in seen:
+                    continue
+                if len(records) >= max_subgroups:
+                    raise LatticeOverflowError(len(records) + 1, max_subgroups)
+                seen.add(new_mask)
+                records.append((new_mask, new_members.astype(dtype), gens + (a,)))
+            continue
+
+        # large-subgroup fallback: scan uncovered cosets sequentially
+        remaining = (full_mask >> last << last) & ~mask
+        while remaining:
+            a = (remaining & -remaining).bit_length() - 1
+            coset = table[members, a]
+            coset_mask = _mask_of(coset, n)
+            remaining &= ~coset_mask
+            if int(coset.min()) != a:
+                continue  # an element below the scan window leads this coset
+            if abelian and (mask >> int(table[a, a])) & 1:
+                new_mask = mask | coset_mask
+                new_members = np.sort(np.concatenate([members, coset]))
+            else:
+                new_mask, new_members = _join_with_element(
+                    table, members, gens, a, coset, abelian, scratch, n
+                )
+                diff = new_mask ^ mask
+                if (diff & -diff).bit_length() - 1 != a:
+                    continue
+            if new_mask in seen:
+                continue
+            if len(records) >= max_subgroups:
+                raise LatticeOverflowError(len(records) + 1, max_subgroups)
+            seen.add(new_mask)
+            records.append((new_mask, new_members.astype(dtype), gens + (a,)))
+
+    subs = [Subgroup(G, members, mask, gens) for mask, members, gens in records]
+    subs.sort(key=Subgroup.sort_key)
+    return Lattice(G, subs)
+
+
+def _join_with_element(table, members, gens, a, first_coset, abelian, scratch, n):
+    """Closure of <H, a> given H's members and a generating set for H.
+
+    Abelian groups take the product-of-subgroups shortcut
+    H<a> = union of cosets H*a^k; otherwise Dimino-style coset closure
+    over the extended generator list.
+    """
+    scratch[:] = False
+    scratch[members] = True
+    scratch[first_coset] = True
+    if abelian:
+        x = int(table[a, a])
+        while not scratch[x]:
+            scratch[table[members, x]] = True
+            x = int(table[x, a])
+    else:
+        new_gens = gens + (a,)
+        reps = [a]
+        qi = 0
+        while qi < len(reps):
+            row = table[reps[qi]]
+            qi += 1
+            for s in new_gens:
+                nxt = int(row[s])
+                if not scratch[nxt]:
+                    scratch[table[members, nxt]] = True
+                    reps.append(nxt)
+    new_members = np.flatnonzero(scratch)
+    new_mask = int.from_bytes(np.packbits(scratch, bitorder="little").tobytes(), "little")
+    return new_mask, new_members
+
+
+def maximal_subgroups(L: Lattice) -> list[Subgroup]:
+    """Proper subgroups H with <H, a> = G for every a outside H."""
+    G = L.group
+    n = G.order
+    full_mask = (1 << n) - 1
+    table = G.table
+    abelian = G.is_abelian()
+    scratch = np.zeros(n, dtype=bool)
+    out = []
+    for H in L.subgroups:
+        if H.order == n:
+            continue
+        # H is maximal iff <H, a> = G for every a outside H; one test per coset
+        remaining = full_mask & ~H.mask
+        maximal = True
+        while remaining:
+            a = (remaining & -remaining).bit_length() - 1
+            coset = table[H.members, a]
+            mask, _ = _join_with_element(
+                table, H.members, H._gens, a, coset, abelian, scratch, n
+            )
+            if mask != full_mask:
+                maximal = False
+                break
+            remaining &= ~_mask_of(coset, n)
+        if maximal:
+            out.append(H)
+    return out
+
+
+def frattini(L: Lattice) -> Subgroup:
+    """Intersection of all maximal subgroups (the whole group if none exist)."""
+    maxima = maximal_subgroups(L)
+    if not maxima:
+        return L.whole_group()
+    mask = maxima[0].mask
+    for H in maxima[1:]:
+        mask &= H.mask
+    sub = L.by_mask(mask)
+    assert sub is not None, "intersection of maximal subgroups is in the lattice"
+    return sub
+
+
+def is_normal(G: Group, H: Subgroup) -> bool:
+    """True iff g H g^-1 = H for every g."""
+    if G.is_abelian():
+        return True
+    table = G.table
+    inv = G.inverses()
+    members = H.members
+    gh = table[:, members]                      # gh[g, i] = g * h_i
+    conj = table[gh, inv[:, None]]              # conj[g, i] = g * h_i * g^-1
+    conj.sort(axis=1)
+    return bool((conj == np.asarray(members)[None, :]).all())
+
+
+def complements(G: Group, N: Subgroup, L: Lattice) -> list[Subgroup]:
+    """All K in L with |K| * |N| = |G| and trivial intersection with N."""
+    if not is_normal(G, N):
+        raise NotNormalError("complement counting requires a normal subgroup")
+    if G.order % N.order != 0:
+        raise NotNormalError("subgroup order must divide the group order")
+    target = G.order // N.order
+    return [K for K in L.subgroups if K.order == target and (K.mask & N.mask) == 1]
+
+
+def is_nilpotent(G: Group, L: Lattice) -> bool:
+    """True iff every Sylow subgroup is unique (one subgroup per full prime part)."""
+    order_counts: dict[int, int] = {}
+    for sub in L.subgroups:
+        order_counts[sub.order] = order_counts.get(sub.order, 0) + 1
+    for p, k in factorize(G.order).items():
+        if order_counts.get(p**k, 0) != 1:
+            return False
+    return True
+
+
+def sylow_subgroups(G: Group, L: Lattice) -> dict[int, list[Subgroup]]:
+    """Sylow p-subgroups found in the lattice, keyed by prime."""
+    out: dict[int, list[Subgroup]] = {}
+    for p, k in factorize(G.order).items():
+        out[p] = L.of_order(p**k)
+    return out
+
+
+def large_abelian_subgroup_witness(G: Group, L: Lattice) -> tuple[int, int] | None:
+    """First abelian subgroup of order p^m and rank r with m + r >= n + 2,
+    where |G| = p^n; None when no such subgroup exists."""
+    pk = prime_power(G.order)
+    if pk is None:
+        raise NotPrimePowerError(f"group order {G.order} is not a prime power")
+    p, n = pk
+    parent_orders = G.element_orders()
+    table = G.table
+    for H in L.subgroups:
+        if H.order == 1:
+            continue
+        m = valuation(H.order, p)
+        sub_table = table[np.ix_(H.members, H.members)]
+        if not np.array_equal(sub_table, sub_table.T):
+            continue
+        member_orders = parent_orders[np.asarray(H.members, dtype=np.int64)]
+        # rank = log_p of the number of solutions of x^p = e
+        low = int(np.count_nonzero(member_orders <= p))
+        r = round(math.log(low, p))
+        if m + r >= n + 2:
+            return (m, r)
+    return None
