@@ -24,7 +24,7 @@ from .errors import (
     NotAGroupError,
     OrderOverflowError,
 )
-from .numtheory import factorize, is_prime, prime_power, valuation
+from .numtheory import factorize, integer_log, is_prime, prime_power, valuation
 
 DEFAULT_MAX_ORDER = 20000
 
@@ -252,8 +252,7 @@ class Group:
             conjugate = []
             for k in range(1, kmax + 1):
                 count = sum(1 for v in vals if 0 <= v <= k)
-                m = round(math.log(count, p))
-                assert p**m == count, "element-order statistics of a valid abelian group"
+                m = integer_log(count, p)
                 conjugate.append(m - prev)
                 prev = m
             rank = conjugate[0]

@@ -1,4 +1,4 @@
-"""Integer number theory helpers: factorization, totient, divisors."""
+"""Integer number theory helpers: factorization, totient, divisors, logarithms."""
 
 from __future__ import annotations
 
@@ -32,10 +32,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
-
-
-def prime_factors(n: int) -> list[int]:
-    return sorted(factorize(n))
 
 
 def euler_phi(n: int) -> int:
@@ -79,3 +75,13 @@ def valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def integer_log(n: int, p: int) -> int:
+    """Exact k with p**k == n; ValueError when n is not a power of p."""
+    if p < 2 or n < 1:
+        raise ValueError(f"integer_log({n}, {p}) needs n >= 1 and p >= 2")
+    k = valuation(n, p)
+    if p**k != n:
+        raise ValueError(f"{n} is not a power of {p}")
+    return k

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
+from itertools import repeat
 
 from .catalogue import CatalogueEntry
 from .errors import (
@@ -609,11 +610,6 @@ def _scan_item(item, max_order, max_subgroups):
     return ("row", row)
 
 
-def _scan_worker(args):
-    item, max_order, max_subgroups = args
-    return _scan_item(item, max_order, max_subgroups)
-
-
 def run_scan(
     corpus,
     *,
@@ -636,7 +632,7 @@ def run_scan(
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(
-                pool.map(_scan_worker, [(item, max_order, max_subgroups) for item in items])
+                pool.map(_scan_item, items, repeat(max_order), repeat(max_subgroups))
             )
     else:
         outcomes = [_scan_item(item, max_order, max_subgroups) for item in items]

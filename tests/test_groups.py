@@ -16,6 +16,7 @@ from grouptotient import (
     parse_spec,
     validate_table,
 )
+from grouptotient.numtheory import integer_log
 from naive_oracles import naive_orders
 
 ALL_FAMILY_SPECS = [
@@ -154,6 +155,19 @@ def test_abelian_invariants_round_trip(parts):
 def test_abelian_invariants_rejects_nonabelian():
     with pytest.raises(NotAbelianError):
         construct("dihedral:3").abelian_invariants()
+
+
+def test_integer_log_is_exact_on_large_powers():
+    assert integer_log(2**60, 2) == 60
+    assert integer_log(3**40, 3) == 40
+    assert integer_log(1, 7) == 0
+
+
+# round(math.log(3**40 - 1, 3)) is 40: a float logarithm cannot tell these apart
+@pytest.mark.parametrize("n,p", [(2**60 + 1, 2), (3**40 - 1, 3), (12, 2), (6, 3), (0, 2), (8, 1)])
+def test_integer_log_rejects_non_powers(n, p):
+    with pytest.raises(ValueError):
+        integer_log(n, p)
 
 
 def test_direct_product_identity_factor():

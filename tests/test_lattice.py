@@ -324,6 +324,25 @@ def test_fallback_coset_scan_matches_batch(monkeypatch):
         assert got == expected[spec], spec
 
 
+def test_fallback_coset_scan_matches_batch_on_permutation_groups(tmp_path, monkeypatch):
+    """The same check on non-abelian groups ingested from .gens, whose
+    joins all take the pruned Dimino path."""
+    import grouptotient.lattice as lattice_mod
+
+    # PSL(2,7) on the projective line over F_7 (point 7 is infinity): x -> x + 1, x -> -1/x
+    psl = [[(x + 1) % 7 for x in range(7)] + [7], [7] + [(-pow(x, 5, 7)) % 7 for x in range(1, 7)] + [0]]
+    groups = {
+        "a5": _group_from_generators(tmp_path, 5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]),
+        "psl2_7": _group_from_generators(tmp_path, 8, psl),
+    }
+    expected = {name: [(H.order, H.mask) for H in all_subgroups(G).subgroups] for name, G in groups.items()}
+    assert [len(expected["a5"]), len(expected["psl2_7"])] == [59, 179]
+    monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
+    for name, G in groups.items():
+        got = [(H.order, H.mask) for H in all_subgroups(G).subgroups]
+        assert got == expected[name], name
+
+
 def _group_from_generators(tmp_path, degree, gens):
     from grouptotient import read_permutation_generators
 

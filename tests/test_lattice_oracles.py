@@ -1,0 +1,104 @@
+"""Lattice sizes at the scale edge against closed-form counts.
+
+The expected counts come from formulas evaluated here by trial division
+and plain integer arithmetic; nothing is imported from the library's
+number theory, so the oracle shares no code with the enumerator.
+"""
+
+import pytest
+
+from grouptotient import all_subgroups, construct, read_permutation_generators
+from grouptotient.lattice import _least_generators
+from naive_oracles import naive_closure
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _gaussian_binomial(r, k, p):
+    num = den = 1
+    for i in range(k):
+        num *= p ** (r - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _galois_number(r, p):
+    """Number of subspaces of F_p^r, i.e. subgroups of the elementary abelian p^r."""
+    return sum(_gaussian_binomial(r, k, p) for k in range(r + 1))
+
+
+def _cycle(degree, points):
+    perm = list(range(degree))
+    for i, a in enumerate(points):
+        perm[a] = points[(i + 1) % len(points)]
+    return perm
+
+
+def _psl2_7():
+    """PSL(2,7) on the projective line over F_7 (point 7 is infinity):
+    x -> x + 1 and x -> -1/x."""
+    t = [(x + 1) % 7 for x in range(7)] + [7]
+    s = [7] + [(-pow(x, 5, 7)) % 7 for x in range(1, 7)] + [0]
+    return [t, s]
+
+
+PERMUTATION_GROUPS = {
+    "a5": (5, [_cycle(5, [0, 1, 2, 3, 4]), _cycle(5, [0, 1, 2])]),
+    "psl2_7": (8, _psl2_7()),
+    "s6": (6, [_cycle(6, [0, 1, 2, 3, 4, 5]), _cycle(6, [0, 1])]),
+}
+
+
+def permutation_group(tmp_path, name):
+    degree, gens = PERMUTATION_GROUPS[name]
+    path = tmp_path / f"{name}.gens"
+    path.write_text(f"{degree}\n" + "\n".join(" ".join(map(str, g)) for g in gens) + "\n")
+    return read_permutation_generators(path)
+
+
+def test_formula_helpers():
+    assert [len(_divisors(n)) for n in (1, 12, 300)] == [1, 6, 18]
+    assert _galois_number(7, 2) == 29212
+    assert _galois_number(4, 3) == 212
+    assert _galois_number(8, 2) == 417199
+
+
+def test_cyclic_lattice_sizes_are_divisor_counts():
+    for n in range(1, 301):
+        assert len(all_subgroups(construct(f"cyclic:{n}"))) == len(_divisors(n)), n
+
+
+def test_dihedral_lattice_sizes_follow_cavior():
+    # the dihedral group of order 2n has d(n) + sigma(n) subgroups (Cavior 1975);
+    # the family starts at n = 2
+    for n in range(2, 201):
+        divs = _divisors(n)
+        assert len(all_subgroups(construct(f"dihedral:{n}"))) == len(divs) + sum(divs), n
+
+
+@pytest.mark.parametrize("p,r", [(2, 7), (3, 4)])
+def test_elementary_abelian_lattice_sizes_are_galois_numbers(p, r):
+    G = construct("abelian:" + ",".join([str(p)] * r))
+    assert len(all_subgroups(G)) == _galois_number(r, p)
+
+
+@pytest.mark.parametrize("name,order,count", [("psl2_7", 168, 179), ("s6", 720, 1455)])
+def test_nonsolvable_lattice_sizes(tmp_path, name, order, count):
+    G = permutation_group(tmp_path, name)
+    assert G.order == order
+    assert len(all_subgroups(G)) == count
+
+
+@pytest.mark.parametrize(
+    "spec", ["cyclic:12", "abelian:2,4", "dihedral:6", "quaternion:8", "heisenberg:3", "sdp:7,3,2"]
+)
+def test_least_generators_match_brute_force(spec):
+    table = construct(spec).table.tolist()
+    cyclic = [naive_closure(table, [a]) for a in range(len(table))]
+    expected = {min(b for b in range(len(table)) if cyclic[b] == C) for C in cyclic}
+    got = _least_generators(construct(spec).table)
+    assert set(got) == expected
+    for a, powers in got.items():
+        assert powers[-1] == 0 and frozenset(powers) == cyclic[a]
