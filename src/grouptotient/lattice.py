@@ -17,9 +17,17 @@ Extending each discovered subgroup H only by elements a that are
     it is abandoned as soon as a new coset holds an element below a,
 
 discovers each subgroup exactly once.  This reaches the same fixed
-point as pairwise join closure but stays linear in the lattice size;
-the rank-8 elementary abelian group (417199 subgroups) still takes
-13-16 s on a 2-vCPU Xeon host, almost all of it per-subgroup overhead.
+point as pairwise join closure but stays linear in the lattice size.
+
+The search sweeps one subgroup order at a time, smallest first; as
+children outgrow their parents and chains are unique, the sweep order
+changes nothing found.  Each level's members form one matrix, swept in
+chunks of _BATCH_LIMIT gathered table entries: abelian index-2 steps
+(a^2 in H, so <H, a> = H u H*a) are built per chunk, other candidates
+are joined one by one, and subgroups too large for a chunk scan their
+cosets one at a time.  One lexsort per level gives the canonical order.
+The rank-8 elementary abelian group (417199 subgroups) takes 2-4 s, and
+its Gauss sum 0.3-0.5 s, on a 2-vCPU Xeon host.
 """
 
 from __future__ import annotations
@@ -176,69 +184,94 @@ def generated_subgroup(G: Group, seed) -> Subgroup:
     return Subgroup(G, arr, _mask_of(arr, n), gens=tuple(seed))
 
 
-_BATCH_LIMIT = 1 << 22  # elements touched per vectorized coset-minima sweep
+_BATCH_LIMIT = 1 << 18  # elements of table[members] gathered per chunk; 0 forces the coset scan
 
 
 def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Lattice:
     """Enumerate the complete subgroup lattice (see module docstring)."""
     n = G.order
     table = G.table
-    dtype = table.dtype
     abelian = G.is_abelian()
-    full_mask = (1 << n) - 1
     # keys[b] = b when b is the least generator of <b>, else -1: b is a
     # candidate exactly when min(H*b) == keys[b]
     keys = np.full(n, -1, dtype=np.int64)
     least = list(_least_generators(table))
     keys[least] = least
-
-    trivial_members = np.zeros(1, dtype=dtype)
-    records: list[tuple[int, np.ndarray, tuple]] = [(1, trivial_members, ())]
-    seen = {1}
-    queue_index = 0
+    squares = np.diagonal(table)
+    columns = np.arange(n)
     scratch = np.zeros(n, dtype=bool)
+    # order -> (member blocks, masks, chains) of the subgroups found so far
+    pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [1], [()])}
+    found = 1
+    subs: list[Subgroup] = []
 
-    while queue_index < len(records):
-        mask, members, gens = records[queue_index]
-        queue_index += 1
-        if mask == full_mask:
+    def accept(block, masks, chains):
+        nonlocal found
+        if found + len(masks) > max_subgroups:
+            raise LatticeOverflowError(max_subgroups + 1, max_subgroups)
+        found += len(masks)
+        level = pending.setdefault(block.shape[1], ([], [], []))
+        level[0].append(block)
+        level[1].extend(masks)
+        level[2].extend(chains)
+
+    def join(members, chain, a, coset):
+        joined = _join_with_element(table, members, chain, a, coset, abelian, scratch, n, bound=a)
+        if joined is not None:  # None: a is not the least new element of the join
+            mask, new_members = joined
+            accept(new_members.astype(table.dtype)[None, :], [mask], [chain + (a,)])
+
+    while pending:
+        m = min(pending)
+        blocks, masks, chains = pending.pop(m)
+        level = np.concatenate(blocks)
+        # rows are sorted and of equal length, so this is Subgroup.sort_key order
+        order = np.lexsort(level.T[::-1])
+        level = level[order]
+        masks = [masks[i] for i in order.tolist()]
+        chains = [chains[i] for i in order.tolist()]
+        subs.extend(Subgroup(G, row, mask, chain) for row, mask, chain in zip(level, masks, chains))
+        rows = _BATCH_LIMIT // (m * n)
+        if rows == 0:
+            for members, mask, chain in zip(level, masks, chains):
+                for a, coset in _candidates(table, members, mask, chain[-1] if chain else 0, keys):
+                    join(members, chain, a, coset)
             continue
-        for a, coset in _candidates(table, members, mask, gens[-1] if gens else 0, keys):
-            if abelian and (mask >> int(table[a, a])) & 1:
-                # index-2 step: <H, a> = H u H*a, and a = min(H*a) already
-                new_mask = mask | _mask_of(coset, n)
-                new_members = np.sort(np.concatenate([members, coset]))
-            else:
-                joined = _join_with_element(
-                    table, members, gens, a, coset, abelian, scratch, n, bound=a
-                )
-                if joined is None:
-                    continue  # a is not the least new element of the join
-                new_mask, new_members = joined
-            if new_mask in seen:
-                continue
-            if len(records) >= max_subgroups:
-                raise LatticeOverflowError(len(records) + 1, max_subgroups)
-            seen.add(new_mask)
-            records.append((new_mask, new_members.astype(dtype), gens + (a,)))
+        lasts = np.array([chain[-1] if chain else 0 for chain in chains])
+        for start in range(0, len(level), rows):
+            block = level[start : start + rows]
+            # cosets[r, i, b] = h_i * b, so cosets[r, :, b] is the right coset H_r * b
+            cosets = table[block]
+            # minima[r, x] = min(H_r * x), which is 0 exactly for x in H_r
+            minima = cosets.min(axis=1)
+            r, a = np.nonzero((minima == keys) & (columns > lasts[start : start + rows, None]))
+            if abelian:
+                step = minima[r, squares[a]] == 0
+                if step.any():
+                    # index-2 step: a^2 in H, so <H, a> = H u H*a, and a = min(H*a) already
+                    rs, bs = r[step], a[step]
+                    children = np.sort(np.concatenate([block[rs], cosets[rs, :, bs]], axis=1), axis=1)
+                    bits = np.zeros((len(rs), n), dtype=bool)
+                    bits[np.arange(len(rs))[:, None], children] = True
+                    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+                    w = len(packed) // len(rs)
+                    accept(
+                        children,
+                        [int.from_bytes(packed[i : i + w], "little") for i in range(0, len(packed), w)],
+                        [chains[start + i] + (b,) for i, b in zip(rs.tolist(), bs.tolist())],
+                    )
+                r, a = r[~step], a[~step]
+            for i, b in zip(r.tolist(), a.tolist()):
+                join(block[i], chains[start + i], b, cosets[i, :, b])
 
-    subs = [Subgroup(G, members, mask, gens) for mask, members, gens in records]
-    subs.sort(key=Subgroup.sort_key)
     return Lattice(G, subs)
 
 
 def _candidates(table, members, mask, last, keys):
     """Yield (a, H*a) for every a > last that is minimal in its right coset
-    H*a and the least generator of <a>, in increasing order of a."""
+    H*a and the least generator of <a>, in increasing order of a, scanning
+    the uncovered cosets one at a time."""
     n = len(table)
-    if len(members) * n <= _BATCH_LIMIT:
-        # rows[i, b] = h_i * b, so column b holds the right coset H*b
-        rows = table[members]
-        lo = last + 1
-        for a in (np.flatnonzero(rows.min(axis=0)[lo:] == keys[lo:]) + lo).tolist():
-            yield a, rows[:, a]
-        return
-    # large-subgroup fallback: scan uncovered cosets sequentially
     remaining = ((1 << n) - 1 >> last << last) & ~mask
     while remaining:
         a = (remaining & -remaining).bit_length() - 1

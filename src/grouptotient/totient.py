@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -39,8 +40,14 @@ def group_totient(G: Group) -> int:
 
 
 def gauss_sum(G: Group, L: Lattice) -> int:
-    """Sum of subgroup totients over the complete lattice."""
-    return sum(subgroup_totient(H) for H in L.subgroups)
+    """Sum of subgroup totients over the complete lattice, one order at a time."""
+    element_orders = G.element_orders()
+    total = 0
+    for _, level in groupby(L.subgroups, key=len):
+        orders = element_orders[np.array([H.members for H in level])]
+        exponents = np.lcm.reduce(orders, axis=1)
+        total += int(np.count_nonzero(orders == exponents[:, None]))
+    return total
 
 
 def cyclic_totient_sum(G: Group) -> int:

@@ -1,0 +1,99 @@
+"""The level-by-level lattice sweep: chunking, cap and the batched Gauss sum."""
+
+import random
+
+import numpy as np
+import pytest
+
+import grouptotient.lattice as lattice_mod
+from grouptotient import (
+    Group,
+    LatticeOverflowError,
+    all_subgroups,
+    construct,
+    gauss_sum,
+    read_permutation_generators,
+    subgroup_totient,
+)
+
+
+def _relabelled(spec, seed):
+    """The Cayley table of `spec` with its non-identity elements shuffled."""
+    table = construct(spec).table.astype(np.int64)
+    rest = list(range(1, len(table)))
+    random.Random(seed).shuffle(rest)
+    pi = np.array([0] + rest)
+    new = np.empty_like(table)
+    new[pi[:, None], pi[None, :]] = pi[table]
+    return Group(new)
+
+
+def _from_gens(tmp_path, degree, gens):
+    path = tmp_path / "gens.gens"
+    path.write_text(f"{degree}\n" + "\n".join(" ".join(map(str, g)) for g in gens) + "\n")
+    return read_permutation_generators(path)
+
+
+def _groups(tmp_path):
+    return {
+        "abelian:2,2,2,2,2": construct("abelian:2,2,2,2,2"),
+        "abelian:4,4,2": construct("abelian:4,4,2"),
+        "abelian:3,3,3": construct("abelian:3,3,3"),
+        "relabelled abelian:2,2,2,2,4": _relabelled("abelian:2,2,2,2,4", seed=7),
+        "dihedral:12": construct("dihedral:12"),
+        "a5": _from_gens(tmp_path, 5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]),
+    }
+
+
+def _records(L):
+    return [(H.order, H.members.tolist(), H.mask, tuple(H._gens)) for H in L.subgroups]
+
+
+def test_level_sweep_independent_of_chunk_budget(tmp_path, monkeypatch):
+    """The default budget, one parent per chunk (4 * |G|: order-4 parents
+    one at a time, larger ones through the sequential coset scan), and
+    budget 0 (every parent scanned sequentially) give the same subgroups,
+    members, masks and chains, in sort_key order."""
+    groups = _groups(tmp_path)
+    expected = {name: _records(all_subgroups(G)) for name, G in groups.items()}
+    assert len(expected["abelian:2,2,2,2,2"]) == 374
+    assert len(expected["a5"]) == 59
+    for name, G in groups.items():
+        L = all_subgroups(G)
+        keys = [H.sort_key() for H in L.subgroups]
+        assert keys == sorted(keys), name
+        assert len({H.mask for H in L.subgroups}) == len(L), name
+        for H in L.subgroups:
+            assert H.mask == sum(1 << int(x) for x in H.members), name
+            assert H.members.dtype == G.table.dtype, name
+        for budget in (4 * G.order, 0):
+            monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", budget)
+            assert _records(all_subgroups(G)) == expected[name], (name, budget)
+        monkeypatch.undo()
+
+
+def test_cap_counts_the_first_child_past_it():
+    G = construct("abelian:2,2,2,2,2,2")
+    with pytest.raises(LatticeOverflowError) as exc:
+        all_subgroups(G, max_subgroups=100)
+    assert (exc.value.count, exc.value.cap) == (101, 100)
+    # the Galois number for rank 6 over F_2: exactly at the cap succeeds
+    assert len(all_subgroups(G, max_subgroups=2825)) == 2825
+    with pytest.raises(LatticeOverflowError) as exc:
+        all_subgroups(G, max_subgroups=2824)
+    assert (exc.value.count, exc.value.cap) == (2825, 2824)
+
+
+def test_batched_gauss_sum_matches_per_subgroup_totients(tmp_path):
+    groups = list(_groups(tmp_path).values()) + [
+        construct(spec) for spec in ("cyclic:360", "quaternion:32", "sdp:7,3,2", "heisenberg:3")
+    ]
+    for G in groups:
+        L = all_subgroups(G)
+        assert gauss_sum(G, L) == sum(subgroup_totient(H) for H in L.subgroups), G
+
+
+def test_gauss_sum_pins_benchmark_oracle_values():
+    for spec, s in (("abelian:2,2,2,2,2,2,2", 358776), ("abelian:4,4,4", 876)):
+        G = construct(spec)
+        assert gauss_sum(G, all_subgroups(G)) == s
