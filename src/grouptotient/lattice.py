@@ -28,11 +28,16 @@ are joined one by one, and subgroups too large for a chunk scan their
 cosets one at a time.  One lexsort per level gives the canonical order.
 The rank-8 elementary abelian group (417199 subgroups) takes 2-4 s, and
 its Gauss sum 0.3-0.5 s, on a 2-vCPU Xeon host.
+
+A subgroup is stored as its sorted member array only; its int bitset
+is derived on first read, so enumeration never builds one.  A lattice
+searches its maximal subgroups once and keeps them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -49,15 +54,25 @@ DEFAULT_MAX_SUBGROUPS = 200000
 
 
 class Subgroup:
-    """A subgroup of a parent group, stored as a bitset plus a sorted member array."""
+    """A subgroup of a parent group, stored as its sorted member array.
 
-    __slots__ = ("parent", "members", "mask", "_gens")
+    The bitset ``mask`` (bit a set iff a is a member) is derived from the
+    members on first read and cached.
+    """
 
-    def __init__(self, parent: Group, members: np.ndarray, mask: int, gens: tuple = ()):
+    __slots__ = ("parent", "members", "_gens", "_mask")
+
+    def __init__(self, parent: Group, members: np.ndarray, gens: tuple = ()):
         self.parent = parent
         self.members = members
-        self.mask = mask
         self._gens = gens
+        self._mask = None
+
+    @property
+    def mask(self) -> int:
+        if self._mask is None:
+            self._mask = _mask_of(self.members, self.parent.order)
+        return self._mask
 
     @property
     def order(self) -> int:
@@ -96,14 +111,16 @@ class Subgroup:
 
 
 class Lattice:
-    """All subgroups of a group in canonical order (by order, then by member list)."""
+    """All subgroups of a group in canonical order (by order, then by member
+    list).  Its maximal subgroups are searched once, on first request, and
+    kept (see maximal_subgroups)."""
 
-    __slots__ = ("group", "subgroups", "_masks")
+    __slots__ = ("group", "subgroups", "_maximal")
 
     def __init__(self, group: Group, subgroups: list[Subgroup]):
         self.group = group
         self.subgroups = subgroups
-        self._masks = {sub.mask: sub for sub in subgroups}
+        self._maximal = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -117,11 +134,10 @@ class Lattice:
     def trivial(self) -> Subgroup:
         return self.subgroups[0]
 
-    def by_mask(self, mask: int) -> Subgroup | None:
-        return self._masks.get(mask)
-
     def of_order(self, k: int) -> list[Subgroup]:
-        return [sub for sub in self.subgroups if sub.order == k]
+        """The subgroups of order k, bisected from the canonical order."""
+        lo = bisect_left(self.subgroups, k, key=len)
+        return self.subgroups[lo : bisect_right(self.subgroups, k, lo, key=len)]
 
 
 def _mask_of(members: np.ndarray, n: int) -> int:
@@ -158,7 +174,7 @@ def cyclic_subgroups(G: Group) -> list[Subgroup]:
     subs = []
     for a, powers in _least_generators(G.table).items():
         arr = np.array(sorted(powers), dtype=G.table.dtype)
-        subs.append(Subgroup(G, arr, _mask_of(arr, G.order), gens=(a,)))
+        subs.append(Subgroup(G, arr, gens=(a,)))
     return sorted(subs, key=Subgroup.sort_key)
 
 
@@ -181,7 +197,7 @@ def generated_subgroup(G: Group, seed) -> Subgroup:
                     members.add(prod)
                     queue.append(prod)
     arr = np.array(sorted(members), dtype=table.dtype)
-    return Subgroup(G, arr, _mask_of(arr, n), gens=tuple(seed))
+    return Subgroup(G, arr, gens=tuple(seed))
 
 
 _BATCH_LIMIT = 1 << 18  # elements of table[members] gathered per chunk; 0 forces the coset scan
@@ -200,42 +216,40 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     squares = np.diagonal(table)
     columns = np.arange(n)
     scratch = np.zeros(n, dtype=bool)
-    # order -> (member blocks, masks, chains) of the subgroups found so far
-    pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [1], [()])}
+    # order -> (member blocks, chains) of the subgroups found so far
+    pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [()])}
     found = 1
     subs: list[Subgroup] = []
 
-    def accept(block, masks, chains):
+    def accept(block, chains):
         nonlocal found
-        if found + len(masks) > max_subgroups:
+        if found + len(chains) > max_subgroups:
             raise LatticeOverflowError(max_subgroups + 1, max_subgroups)
-        found += len(masks)
-        level = pending.setdefault(block.shape[1], ([], [], []))
+        found += len(chains)
+        level = pending.setdefault(block.shape[1], ([], []))
         level[0].append(block)
-        level[1].extend(masks)
-        level[2].extend(chains)
+        level[1].extend(chains)
 
     def join(members, chain, a, coset):
         joined = _join_with_element(table, members, chain, a, coset, abelian, scratch, n, bound=a)
         if joined is not None:  # None: a is not the least new element of the join
-            mask, new_members = joined
-            accept(new_members.astype(table.dtype)[None, :], [mask], [chain + (a,)])
+            accept(joined.astype(table.dtype)[None, :], [chain + (a,)])
 
     while pending:
         m = min(pending)
-        blocks, masks, chains = pending.pop(m)
+        blocks, chains = pending.pop(m)
         level = np.concatenate(blocks)
         # rows are sorted and of equal length, so this is Subgroup.sort_key order
         order = np.lexsort(level.T[::-1])
         level = level[order]
-        masks = [masks[i] for i in order.tolist()]
         chains = [chains[i] for i in order.tolist()]
-        subs.extend(Subgroup(G, row, mask, chain) for row, mask, chain in zip(level, masks, chains))
+        subs.extend(Subgroup(G, row, chain) for row, chain in zip(level, chains))
         rows = _BATCH_LIMIT // (m * n)
         if rows == 0:
-            for members, mask, chain in zip(level, masks, chains):
-                for a, coset in _candidates(table, members, mask, chain[-1] if chain else 0, keys):
-                    join(members, chain, a, coset)
+            for members, chain in zip(level, chains):
+                for a, coset in _right_cosets(table, members, chain[-1] if chain else 0):
+                    if int(coset.min()) == keys[a]:
+                        join(members, chain, a, coset)
             continue
         lasts = np.array([chain[-1] if chain else 0 for chain in chains])
         for start in range(0, len(level), rows):
@@ -250,14 +264,8 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                 if step.any():
                     # index-2 step: a^2 in H, so <H, a> = H u H*a, and a = min(H*a) already
                     rs, bs = r[step], a[step]
-                    children = np.sort(np.concatenate([block[rs], cosets[rs, :, bs]], axis=1), axis=1)
-                    bits = np.zeros((len(rs), n), dtype=bool)
-                    bits[np.arange(len(rs))[:, None], children] = True
-                    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
-                    w = len(packed) // len(rs)
                     accept(
-                        children,
-                        [int.from_bytes(packed[i : i + w], "little") for i in range(0, len(packed), w)],
+                        np.sort(np.concatenate([block[rs], cosets[rs, :, bs]], axis=1), axis=1),
                         [chains[start + i] + (b,) for i, b in zip(rs.tolist(), bs.tolist())],
                     )
                 r, a = r[~step], a[~step]
@@ -267,24 +275,23 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     return Lattice(G, subs)
 
 
-def _candidates(table, members, mask, last, keys):
-    """Yield (a, H*a) for every a > last that is minimal in its right coset
-    H*a and the least generator of <a>, in increasing order of a, scanning
-    the uncovered cosets one at a time."""
+def _right_cosets(table, members, start):
+    """Yield (a, H*a) for every right coset of H other than H itself that
+    holds an element >= start, with a its least such element, in
+    increasing order of a, scanning the uncovered cosets one at a time."""
     n = len(table)
-    remaining = ((1 << n) - 1 >> last << last) & ~mask
+    remaining = ((1 << n) - 1 >> start << start) & ~_mask_of(members, n)
     while remaining:
         a = (remaining & -remaining).bit_length() - 1
         coset = table[members, a]
         remaining &= ~_mask_of(coset, n)
-        if int(coset.min()) == keys[a]:
-            yield a, coset
+        yield a, coset
 
 
 def _join_with_element(table, members, gens, a, first_coset, abelian, scratch, n, bound=0):
-    """Closure of <H, a> given H's members and a generating set for H, as
-    (mask, sorted members); None as soon as a coset added after the first
-    holds an element below `bound`.
+    """Sorted members of <H, a> given H's members and a generating set for
+    H; None as soon as a coset added after the first holds an element
+    below `bound`.
 
     Dimino-style coset closure: right cosets H*r are added until the union
     is closed under the generators.  In abelian groups H<a> is the union
@@ -307,39 +314,29 @@ def _join_with_element(table, members, gens, a, first_coset, abelian, scratch, n
                     return None
                 scratch[coset] = True
                 reps.append(nxt)
-    new_members = np.flatnonzero(scratch)
-    new_mask = int.from_bytes(np.packbits(scratch, bitorder="little").tobytes(), "little")
-    return new_mask, new_members
+    return np.flatnonzero(scratch)
 
 
 def maximal_subgroups(L: Lattice) -> list[Subgroup]:
-    """Proper subgroups H with <H, a> = G for every a outside H."""
-    G = L.group
-    n = G.order
-    full_mask = (1 << n) - 1
-    table = G.table
-    abelian = G.is_abelian()
-    scratch = np.zeros(n, dtype=bool)
-    out = []
-    for H in L.subgroups:
-        if H.order == n:
-            continue
-        # H is maximal iff <H, a> = G for every a outside H; one test per coset
-        remaining = full_mask & ~H.mask
-        maximal = True
-        while remaining:
-            a = (remaining & -remaining).bit_length() - 1
-            coset = table[H.members, a]
-            mask, _ = _join_with_element(
-                table, H.members, H._gens, a, coset, abelian, scratch, n
+    """Proper subgroups H with <H, a> = G for every a outside H, searched
+    once per lattice; each call returns a new list."""
+    if L._maximal is None:
+        G = L.group
+        n = G.order
+        table = G.table
+        abelian = G.is_abelian()
+        scratch = np.zeros(n, dtype=bool)
+        maxima = []
+        for H in L.subgroups[:-1]:
+            # <H, a> depends only on the coset H*a: one join per coset
+            joins = (
+                _join_with_element(table, H.members, H._gens, a, coset, abelian, scratch, n)
+                for a, coset in _right_cosets(table, H.members, 0)
             )
-            if mask != full_mask:
-                maximal = False
-                break
-            remaining &= ~_mask_of(coset, n)
-        if maximal:
-            out.append(H)
-    return out
+            if all(len(joined) == n for joined in joins):
+                maxima.append(H)
+        L._maximal = maxima
+    return list(L._maximal)
 
 
 def frattini(L: Lattice) -> Subgroup:
@@ -350,9 +347,7 @@ def frattini(L: Lattice) -> Subgroup:
     mask = maxima[0].mask
     for H in maxima[1:]:
         mask &= H.mask
-    sub = L.by_mask(mask)
-    assert sub is not None, "intersection of maximal subgroups is in the lattice"
-    return sub
+    return next(H for H in L.of_order(mask.bit_count()) if H.mask == mask)
 
 
 def is_normal(G: Group, H: Subgroup) -> bool:
@@ -374,19 +369,12 @@ def complements(G: Group, N: Subgroup, L: Lattice) -> list[Subgroup]:
         raise NotNormalError("complement counting requires a normal subgroup")
     if G.order % N.order != 0:
         raise NotNormalError("subgroup order must divide the group order")
-    target = G.order // N.order
-    return [K for K in L.subgroups if K.order == target and (K.mask & N.mask) == 1]
+    return [K for K in L.of_order(G.order // N.order) if (K.mask & N.mask) == 1]
 
 
 def is_nilpotent(G: Group, L: Lattice) -> bool:
     """True iff every Sylow subgroup is unique (one subgroup per full prime part)."""
-    order_counts: dict[int, int] = {}
-    for sub in L.subgroups:
-        order_counts[sub.order] = order_counts.get(sub.order, 0) + 1
-    for p, k in factorize(G.order).items():
-        if order_counts.get(p**k, 0) != 1:
-            return False
-    return True
+    return all(len(L.of_order(p**k)) == 1 for p, k in factorize(G.order).items())
 
 
 def sylow_subgroups(G: Group, L: Lattice) -> dict[int, list[Subgroup]]:

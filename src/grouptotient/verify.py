@@ -9,6 +9,7 @@ complete lattice enumeration.  Suite output is deterministic for a given
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import repeat
@@ -439,7 +440,7 @@ def _suite_example_pq(params, max_order, max_subgroups) -> SuiteResult:
         s = gauss_sum(G, L)
         result.add(f"{spec}/gauss-sum", p * q, s)
         result.add(f"{spec}/subgroup-count", q + 3, len(L))
-        N = next(sub for sub in L.subgroups if sub.order == q)
+        N = L.of_order(q)[0]
         result.add(f"{spec}/complement-count", q, len(complements(G, N, L)))
     return result
 
@@ -621,16 +622,20 @@ def run_scan(
     counterexamples (nilpotent non-cyclic members), and lower-bound failures.
 
     Groups exceeding the order or subgroup caps are recorded as skipped
-    and the scan continues.  With jobs > 1 the work is distributed across
-    processes; the report is assembled in corpus order either way.
+    and the scan continues.  The work is distributed across at most
+    min(jobs, corpus size, CPU count) processes, and runs in this process
+    when that is one; the report is assembled in corpus order either way.
     """
+    if jobs < 1:
+        raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
     items = list(corpus)
     ids = [_scan_id(item) for item in items]
     if len(set(ids)) != len(ids):
         dup = next(i for i in ids if ids.count(i) > 1)
         raise InvalidParameterError(f"duplicate corpus id {dup!r}")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(_scan_item, items, repeat(max_order), repeat(max_subgroups))
             )

@@ -336,3 +336,60 @@ def test_near_miss_semidirect_product_without_witness():
     L = all_subgroups(G)
     assert fixed_point_free_decomposition(G, L) is None
     assert gauss_sum(G, L) == 30
+
+
+def _inline_pool(monkeypatch, cpus):
+    """Replace the scan's process pool with one that records max_workers
+    and maps in this process, on a host reporting `cpus` CPUs."""
+    import grouptotient.verify as verify_mod
+
+    started = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cpus)
+    return started
+
+
+def test_scan_caps_workers_at_corpus_size_and_cpu_count(monkeypatch):
+    corpus = family_specs("dihedral", 12)
+    expected = canonical_json(run_scan(corpus))
+    started = _inline_pool(monkeypatch, cpus=4)
+    assert canonical_json(run_scan(corpus, jobs=100000)) == expected
+    assert canonical_json(run_scan(corpus, jobs=3)) == expected
+    assert canonical_json(run_scan(corpus[:2], jobs=100000)) == canonical_json(run_scan(corpus[:2]))
+    assert started == [4, 3, 2]
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_scan_runs_in_process_when_one_worker_is_left(monkeypatch, cpus):
+    corpus = family_specs("dihedral", 12)
+    started = _inline_pool(monkeypatch, cpus=cpus)
+    assert canonical_json(run_scan(corpus, jobs=100000)) == canonical_json(run_scan(corpus))
+    assert canonical_json(run_scan(corpus[:1], jobs=2)) == canonical_json(run_scan(corpus[:1]))
+    assert started == []
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_scan_rejects_fewer_than_one_job(monkeypatch, jobs, capsys):
+    from grouptotient import InvalidParameterError
+
+    started = _inline_pool(monkeypatch, cpus=4)
+    with pytest.raises(InvalidParameterError):
+        run_scan(family_specs("dihedral", 12), jobs=jobs)
+    code = main(["--jobs", str(jobs), "scan", "--family", "dihedral", "--scan-max-order", "12"])
+    assert code == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert started == []
