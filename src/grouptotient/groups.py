@@ -27,6 +27,7 @@ from .errors import (
 from .numtheory import factorize, integer_log, is_prime, prime_power, valuation
 
 DEFAULT_MAX_ORDER = 20000
+_TILE = 512  # side of the square blocks Group.is_abelian compares
 
 FAMILIES = (
     "cyclic",
@@ -224,8 +225,14 @@ class Group:
         return int(np.lcm.reduce(self.element_orders()))
 
     def is_abelian(self) -> bool:
+        # tile by tile: the whole strided transpose is slow and takes n^2 bools
         if self._abelian is None:
-            self._abelian = bool(np.array_equal(self.table, self.table.T))
+            t, k = self.table, _TILE
+            self._abelian = all(
+                np.array_equal(t[i : i + k, j : j + k], t[j : j + k, i : i + k].T)
+                for i in range(0, self.order, k)
+                for j in range(i, self.order, k)
+            )
         return self._abelian
 
     def is_cyclic(self) -> bool:

@@ -30,8 +30,8 @@ The rank-8 elementary abelian group (417199 subgroups) takes 2-4 s, and
 its Gauss sum 0.3-0.5 s, on a 2-vCPU Xeon host.
 
 A subgroup is stored as its sorted member array only; its int bitset
-is derived on first read, so enumeration never builds one.  A lattice
-searches its maximal subgroups once and keeps them.
+is derived on first read, so enumeration never builds one.  Maximal
+subgroups are read off the finished lattice by containment.
 """
 
 from __future__ import annotations
@@ -112,15 +112,13 @@ class Subgroup:
 
 class Lattice:
     """All subgroups of a group in canonical order (by order, then by member
-    list).  Its maximal subgroups are searched once, on first request, and
-    kept (see maximal_subgroups)."""
+    list)."""
 
-    __slots__ = ("group", "subgroups", "_maximal")
+    __slots__ = ("group", "subgroups")
 
     def __init__(self, group: Group, subgroups: list[Subgroup]):
         self.group = group
         self.subgroups = subgroups
-        self._maximal = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -231,7 +229,7 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
         level[1].extend(chains)
 
     def join(members, chain, a, coset):
-        joined = _join_with_element(table, members, chain, a, coset, abelian, scratch, n, bound=a)
+        joined = _join_with_element(table, members, chain, a, coset, abelian, scratch, bound=a)
         if joined is not None:  # None: a is not the least new element of the join
             accept(joined.astype(table.dtype)[None, :], [chain + (a,)])
 
@@ -246,8 +244,14 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
         subs.extend(Subgroup(G, row, chain) for row, chain in zip(level, chains))
         rows = _BATCH_LIMIT // (m * n)
         if rows == 0:
+            # one right coset H*a at a time, a its least element past the chain
             for members, chain in zip(level, chains):
-                for a, coset in _right_cosets(table, members, chain[-1] if chain else 0):
+                start = chain[-1] if chain else 0
+                remaining = ((1 << n) - 1 >> start << start) & ~_mask_of(members, n)
+                while remaining:
+                    a = (remaining & -remaining).bit_length() - 1
+                    coset = table[members, a]
+                    remaining &= ~_mask_of(coset, n)
                     if int(coset.min()) == keys[a]:
                         join(members, chain, a, coset)
             continue
@@ -275,20 +279,7 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     return Lattice(G, subs)
 
 
-def _right_cosets(table, members, start):
-    """Yield (a, H*a) for every right coset of H other than H itself that
-    holds an element >= start, with a its least such element, in
-    increasing order of a, scanning the uncovered cosets one at a time."""
-    n = len(table)
-    remaining = ((1 << n) - 1 >> start << start) & ~_mask_of(members, n)
-    while remaining:
-        a = (remaining & -remaining).bit_length() - 1
-        coset = table[members, a]
-        remaining &= ~_mask_of(coset, n)
-        yield a, coset
-
-
-def _join_with_element(table, members, gens, a, first_coset, abelian, scratch, n, bound=0):
+def _join_with_element(table, members, gens, a, first_coset, abelian, scratch, bound):
     """Sorted members of <H, a> given H's members and a generating set for
     H; None as soon as a coset added after the first holds an element
     below `bound`.
@@ -310,7 +301,7 @@ def _join_with_element(table, members, gens, a, first_coset, abelian, scratch, n
             nxt = int(row[s])
             if not scratch[nxt]:
                 coset = table[members, nxt]
-                if bound and int(coset.min()) < bound:
+                if int(coset.min()) < bound:
                     return None
                 scratch[coset] = True
                 reps.append(nxt)
@@ -318,25 +309,14 @@ def _join_with_element(table, members, gens, a, first_coset, abelian, scratch, n
 
 
 def maximal_subgroups(L: Lattice) -> list[Subgroup]:
-    """Proper subgroups H with <H, a> = G for every a outside H, searched
-    once per lattice; each call returns a new list."""
-    if L._maximal is None:
-        G = L.group
-        n = G.order
-        table = G.table
-        abelian = G.is_abelian()
-        scratch = np.zeros(n, dtype=bool)
-        maxima = []
-        for H in L.subgroups[:-1]:
-            # <H, a> depends only on the coset H*a: one join per coset
-            joins = (
-                _join_with_element(table, H.members, H._gens, a, coset, abelian, scratch, n)
-                for a, coset in _right_cosets(table, H.members, 0)
-            )
-            if all(len(joined) == n for joined in joins):
-                maxima.append(H)
-        L._maximal = maxima
-    return list(L._maximal)
+    """Proper subgroups in no larger proper subgroup, in canonical order,
+    read from the largest order down: a non-maximal H lies in some
+    maximal subgroup of larger order, which is kept before H is seen."""
+    maxima: list[Subgroup] = []
+    for H in reversed(L.subgroups[:-1]):
+        if not any((H.mask & M.mask) == H.mask for M in maxima):
+            maxima.append(H)
+    return maxima[::-1]
 
 
 def frattini(L: Lattice) -> Subgroup:

@@ -18,6 +18,7 @@ from .catalogue import CatalogueEntry
 from .errors import (
     InvalidParameterError,
     LatticeOverflowError,
+    NotPrimePowerError,
     OrderOverflowError,
     RangeTooLargeError,
     UnknownSuiteError,
@@ -127,7 +128,10 @@ def inclusion_exclusion_residual(G: Group, L: Lattice) -> tuple[int, int]:
     """Both sides of the maximal-subgroup inclusion-exclusion identity
     S(G) = phi(G) + sum_i S(M_i) - p * S(Frattini) for p-groups with
     p + 1 maximal subgroups."""
-    p = prime_power(G.order)[0]
+    pk = prime_power(G.order)
+    if pk is None:
+        raise NotPrimePowerError(f"group order {G.order} is not a prime power")
+    p = pk[0]
     maxima = maximal_subgroups(L)
     lhs = gauss_sum(G, L)
     rhs = (
@@ -512,11 +516,12 @@ def _suite_cor2(params, max_order, max_subgroups) -> SuiteResult:
         _require_order(spec.order(), max_order)
         G = construct(spec, max_order=max_order)
         L = all_subgroups(G, max_subgroups=max_subgroups)
-        result.add(f"{spec}/nilpotent", True, is_nilpotent(G, L))
-        sylows = sylow_subgroups(G, L)
+        nilpotent = is_nilpotent(G, L)
+        result.add(f"{spec}/nilpotent", True, nilpotent)
+        if not nilpotent:  # no unique Sylow subgroups to factor over
+            continue
         product = 1
-        for p, subs in sorted(sylows.items()):
-            assert len(subs) == 1
+        for p, subs in sorted(sylow_subgroups(G, L).items()):
             sylow_group = subs[0].as_group()
             product *= gauss_sum(sylow_group, all_subgroups(sylow_group, max_subgroups))
         result.add(f"{spec}/sylow-factorization", gauss_sum(G, L), product)

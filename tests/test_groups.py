@@ -133,6 +133,26 @@ def test_is_abelian_examples():
     assert H.mult(x, y) != H.mult(y, x)
 
 
+@pytest.mark.parametrize(
+    "spec", ["cyclic:1500", "dihedral:300", "product:(dihedral:3)x(cyclic:200)"]
+)
+def test_is_abelian_above_one_tile(spec):
+    t = construct(spec).table
+    assert len(t) > 512
+    assert construct(spec).is_abelian() == bool(np.array_equal(t, t.T))
+
+
+@pytest.mark.parametrize("row,col", [(1098, 1099), (1, 1099), (1099, 600)])
+def test_is_abelian_sees_one_asymmetric_entry(row, col):
+    # not a group table: 512-tiles at 0, 512 and 1024, and one entry off
+    # the symmetric pattern, in a diagonal or an off-diagonal tile
+    n = 1100
+    t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    assert Group(t).is_abelian()
+    t[row, col] = (t[row, col] + 1) % n
+    assert not Group(t).is_abelian()
+
+
 def test_abelian_invariants_examples():
     assert construct("cyclic:12").abelian_invariants().parts == (3, 4)
     K = construct("abelian:2,2")

@@ -1,4 +1,5 @@
-"""Lattice sizes at the scale edge against closed-form counts.
+"""Lattice sizes and maximal-subgroup counts at the scale edge against
+closed-form and published counts.
 
 The expected counts come from formulas evaluated here by trial division
 and plain integer arithmetic; nothing is imported from the library's
@@ -7,13 +8,19 @@ number theory, so the oracle shares no code with the enumerator.
 
 import pytest
 
-from grouptotient import all_subgroups, construct, read_permutation_generators
+from collections import Counter
+
+from grouptotient import all_subgroups, construct, maximal_subgroups, read_permutation_generators
 from grouptotient.lattice import _least_generators
 from naive_oracles import naive_closure
 
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _prime_divisors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
 
 
 def _gaussian_binomial(r, k, p):
@@ -60,22 +67,29 @@ def permutation_group(tmp_path, name):
 
 def test_formula_helpers():
     assert [len(_divisors(n)) for n in (1, 12, 300)] == [1, 6, 18]
+    assert [_prime_divisors(n) for n in (1, 12, 300, 97)] == [[], [2, 3], [2, 3, 5], [97]]
     assert _galois_number(7, 2) == 29212
     assert _galois_number(4, 3) == 212
     assert _galois_number(8, 2) == 417199
 
 
 def test_cyclic_lattice_sizes_are_divisor_counts():
+    # Z_n has d(n) subgroups, and one maximal subgroup of index p per prime p | n
     for n in range(1, 301):
-        assert len(all_subgroups(construct(f"cyclic:{n}"))) == len(_divisors(n)), n
+        L = all_subgroups(construct(f"cyclic:{n}"))
+        assert len(L) == len(_divisors(n)), n
+        assert len(maximal_subgroups(L)) == len(_prime_divisors(n)), n
 
 
 def test_dihedral_lattice_sizes_follow_cavior():
     # the dihedral group of order 2n has d(n) + sigma(n) subgroups (Cavior 1975);
-    # the family starts at n = 2
+    # its maximal subgroups are the rotations and, for each prime p | n, the p
+    # dihedral subgroups of index p; the family starts at n = 2
     for n in range(2, 201):
         divs = _divisors(n)
-        assert len(all_subgroups(construct(f"dihedral:{n}"))) == len(divs) + sum(divs), n
+        L = all_subgroups(construct(f"dihedral:{n}"))
+        assert len(L) == len(divs) + sum(divs), n
+        assert len(maximal_subgroups(L)) == 1 + sum(_prime_divisors(n)), n
 
 
 @pytest.mark.parametrize("p,r", [(2, 7), (3, 4)])
@@ -84,11 +98,24 @@ def test_elementary_abelian_lattice_sizes_are_galois_numbers(p, r):
     assert len(all_subgroups(G)) == _galois_number(r, p)
 
 
-@pytest.mark.parametrize("name,order,count", [("psl2_7", 168, 179), ("s6", 720, 1455)])
+# maximal subgroups by order, from the ATLAS of Finite Groups (Conway et al.,
+# 1985): A5 has 21, PSL(2,7) 22 and S6 53
+ATLAS_MAXIMAL = {
+    "a5": {12: 5, 10: 6, 6: 10},
+    "psl2_7": {24: 14, 21: 8},
+    "s6": {360: 1, 120: 12, 72: 10, 48: 30},
+}
+
+
+@pytest.mark.parametrize(
+    "name,order,count", [("psl2_7", 168, 179), ("s6", 720, 1455), ("a5", 60, 59)]
+)
 def test_nonsolvable_lattice_sizes(tmp_path, name, order, count):
     G = permutation_group(tmp_path, name)
     assert G.order == order
-    assert len(all_subgroups(G)) == count
+    L = all_subgroups(G)
+    assert len(L) == count
+    assert Counter(M.order for M in maximal_subgroups(L)) == ATLAS_MAXIMAL[name]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Subgroups stored as member arrays, and lattice queries computed once."""
+"""Subgroups stored as member arrays, and lattice queries read off the lattice."""
 
 from functools import reduce
 from operator import and_
@@ -47,24 +47,24 @@ def test_of_order_matches_a_linear_filter(tmp_path):
             assert [id(H) for H in L.of_order(k)] == expected, (name, k)
 
 
-def test_maximal_subgroups_are_searched_once_per_lattice(tmp_path, monkeypatch):
-    joins = []
-    join = lattice_mod._join_with_element
-
-    def counted(*args, **kwargs):
-        joins.append(1)
-        return join(*args, **kwargs)
+def test_maximal_subgroups_are_read_off_the_lattice(tmp_path, monkeypatch):
+    def no_join(*args, **kwargs):
+        raise AssertionError("maximal_subgroups ran a join")
 
     for name, G in _groups(tmp_path).items():
         L = all_subgroups(G)
-        monkeypatch.setattr(lattice_mod, "_join_with_element", counted)
+        position = {id(H): i for i, H in enumerate(L.subgroups)}
+        proper = [(id(H), _bits(H)) for H in L.subgroups[:-1]]
+        by_definition = [
+            i for i, h in proper if not any(j != i and (h & k) == h for j, k in proper)
+        ]
+        monkeypatch.setattr(lattice_mod, "_join_with_element", no_join)
         first = maximal_subgroups(L)
-        searched = len(joins)
         expected = [id(H) for H in first]
+        assert expected == by_definition and expected, name
+        assert [position[i] for i in expected] == sorted(position[i] for i in expected), name
         first.clear()
-        second = maximal_subgroups(L)
-        assert len(joins) == searched > 0, name
-        assert [id(H) for H in second] == expected and expected, name
+        assert [id(H) for H in maximal_subgroups(L)] == expected, name
         monkeypatch.undo()
 
 

@@ -197,6 +197,15 @@ def test_inclusion_exclusion_identity():
         assert lhs == rhs, spec
 
 
+@pytest.mark.parametrize("spec", ["cyclic:6", "cyclic:1", "dihedral:3"])
+def test_inclusion_exclusion_needs_a_prime_power_order(spec):
+    from grouptotient import NotPrimePowerError, inclusion_exclusion_residual
+
+    G = construct(spec)
+    with pytest.raises(NotPrimePowerError, match="not a prime power"):
+        inclusion_exclusion_residual(G, all_subgroups(G))
+
+
 def test_summarize_golden_records():
     s = summarize(construct("abelian:2,2"))
     assert (s.group_order, s.phi, s.s_value, s.cyclic_sum, s.subgroup_count) == (4, 3, 7, 4, 5)

@@ -87,6 +87,19 @@ def test_suite_cor2_small():
     assert result.all_pass
 
 
+def test_suite_cor2_records_a_non_nilpotent_group(monkeypatch, capsys):
+    result = run_suite("cor2", {"corpus": ("dihedral:3", "cyclic:12")})
+    assert [(c.case_id, c.passed) for c in result.cases] == [
+        ("dihedral:3/nilpotent", False),
+        ("cyclic:12/nilpotent", True),
+        ("cyclic:12/sylow-factorization", True),
+    ]
+    assert not result.all_pass
+    monkeypatch.setattr("grouptotient.verify.COR2_CORPUS_DEFAULT", ("dihedral:3",))
+    assert main(["suite", "cor2"]) == 1
+    assert json.loads(capsys.readouterr().out)["all_pass"] is False
+
+
 def test_suite_thm7_records_discrepancy_note():
     result = run_suite("thm7", {"n_max": 4})
     assert DIHEDRAL_TOTIENT_NOTE in result.discrepancy_notes
