@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 
@@ -40,14 +39,8 @@ def group_totient(G: Group) -> int:
 
 
 def gauss_sum(G: Group, L: Lattice) -> int:
-    """Sum of subgroup totients over the complete lattice, one order at a time."""
-    element_orders = G.element_orders()
-    total = 0
-    for _, level in groupby(L.subgroups, key=len):
-        orders = element_orders[np.array([H.members for H in level])]
-        exponents = np.lcm.reduce(orders, axis=1)
-        total += int(np.count_nonzero(orders == exponents[:, None]))
-    return total
+    """Sum of subgroup totients over the complete lattice of G."""
+    return int(L.totients.sum())
 
 
 def cyclic_totient_sum(G: Group) -> int:

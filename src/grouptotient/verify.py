@@ -46,7 +46,6 @@ from .totient import (
     gauss_sum,
     group_totient,
     semidirect_gauss_sum,
-    subgroup_totient,
     two_group_gauss_sum,
 )
 
@@ -82,7 +81,10 @@ PQ_PAIRS_DEFAULT = ((2, 3), (3, 7), (2, 5), (5, 11), (3, 13))
 
 def summarize(G: Group, max_subgroups: int = SUITE_MAX_SUBGROUPS) -> GaussSummary:
     """Full per-group record: totient, Gauss sum, lattice size, class membership."""
-    L = all_subgroups(G, max_subgroups=max_subgroups)
+    return _summary(G, all_subgroups(G, max_subgroups=max_subgroups))
+
+
+def _summary(G: Group, L: Lattice) -> GaussSummary:
     s = gauss_sum(G, L)
     return GaussSummary(
         group_order=G.order,
@@ -110,7 +112,7 @@ def subgroup_gauss_sum_from_lattice(L: Lattice, sub) -> int:
     """Gauss sum of a subgroup read off the parent lattice: sum the totients
     of all lattice members contained in it."""
     return sum(
-        subgroup_totient(K) for K in L.subgroups if (K.mask & sub.mask) == K.mask
+        t for K, t in zip(L.subgroups, L.totients.tolist()) if (K.mask & sub.mask) == K.mask
     )
 
 
@@ -520,10 +522,9 @@ def _suite_cor2(params, max_order, max_subgroups) -> SuiteResult:
         result.add(f"{spec}/nilpotent", True, nilpotent)
         if not nilpotent:  # no unique Sylow subgroups to factor over
             continue
-        product = 1
-        for p, subs in sorted(sylow_subgroups(G, L).items()):
-            sylow_group = subs[0].as_group()
-            product *= gauss_sum(sylow_group, all_subgroups(sylow_group, max_subgroups))
+        product = math.prod(
+            subgroup_gauss_sum_from_lattice(L, subs[0]) for subs in sylow_subgroups(G, L).values()
+        )
         result.add(f"{spec}/sylow-factorization", gauss_sum(G, L), product)
     return result
 
@@ -541,29 +542,30 @@ def _suite_closing_equality(params, max_order, max_subgroups) -> SuiteResult:
     for text in corpus:
         spec = parse_spec(text) if isinstance(text, str) else text
         _require_order(spec.order(), max_order)
-        summary = summarize_spec(str(spec), max_order, max_subgroups)
+        G = construct(spec, max_order=max_order)
+        L = all_subgroups(G, max_subgroups=max_subgroups)
+        summary = _summary(G, L)
         # class membership is equivalent to the cyclic lower bound being attained
         result.add(str(spec), summary.in_class_c, summary.s_value == summary.cyclic_sum)
         if summary.in_class_c:
             # membership should be inherited by every subgroup
-            G = construct(spec, max_order=max_order)
-            L = all_subgroups(G, max_subgroups=max_subgroups)
             closure = class_subgroup_closure(G, L)
             result.add(f"{spec}/subgroup-closure", True, all(member for _, member in closure))
     return result
 
 
+# suite id -> (runner, the parameter keys it reads)
 _SUITES = {
-    "prop1": _suite_prop1,
-    "cor2": _suite_cor2,
-    "thm3": _suite_thm3,
-    "thm4": _suite_thm4,
-    "thm5": _suite_thm5,
-    "thm7": _suite_thm7,
-    "thm8": _suite_thm8,
-    "example_pq": _suite_example_pq,
-    "remark_d2n": _suite_remark_d2n,
-    "closing_equality": _suite_closing_equality,
+    "prop1": (_suite_prop1, ("pairs",)),
+    "cor2": (_suite_cor2, ("corpus", "max_order")),
+    "thm3": (_suite_thm3, ("max_order",)),
+    "thm4": (_suite_thm4, ("corpus",)),
+    "thm5": (_suite_thm5, ("n_max", "modular")),
+    "thm7": (_suite_thm7, ("n_max",)),
+    "thm8": (_suite_thm8, ("dihedral_max", "pairs")),
+    "example_pq": (_suite_example_pq, ("pairs",)),
+    "remark_d2n": (_suite_remark_d2n, ("n_max",)),
+    "closing_equality": (_suite_closing_equality, ("corpus",)),
 }
 
 
@@ -577,7 +579,14 @@ def run_suite(
     """Execute one verification suite over its (parameterized) corpus."""
     if suite_id not in _SUITES:
         raise UnknownSuiteError(f"unknown suite {suite_id!r}; expected one of {SUITE_IDS}")
-    return _SUITES[suite_id](params or {}, max_order, max_subgroups)
+    runner, keys = _SUITES[suite_id]
+    params = params or {}
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise InvalidParameterError(
+            f"suite {suite_id} has no parameter {unknown[0]!r}; it reads {', '.join(keys)}"
+        )
+    return runner(params, max_order, max_subgroups)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from grouptotient import (
     IndexOutOfRangeError,
+    InvalidParameterError,
     LatticeOverflowError,
     NotNormalError,
     NotPrimePowerError,
@@ -20,9 +21,11 @@ from grouptotient import (
     is_normal,
     large_abelian_subgroup_witness,
     maximal_subgroups,
+    read_permutation_generators,
     subgroup_is_cyclic,
     sylow_subgroups,
 )
+from grouptotient.cli import main
 from naive_oracles import naive_all_subgroups, naive_cyclic_subgroups
 
 ORACLE_SPECS = [
@@ -88,6 +91,21 @@ def test_generated_subgroup_examples():
     K = generated_subgroup(D8, {2, 4})  # x^2 and y
     assert K.order == 4
     assert max(D8.element_order(int(m)) for m in K.members) == 2
+
+
+def test_generated_subgroup_of_members_is_that_subgroup(tmp_path):
+    path = tmp_path / "a5.gens"
+    path.write_text("5\n1 2 3 4 0\n1 2 0 3 4\n")
+    for G in (read_permutation_generators(path), construct("dihedral:12")):
+        for H in all_subgroups(G).subgroups:
+            K = generated_subgroup(G, H.members)
+            assert K == H and K.members.tolist() == H.members.tolist(), H
+            assert K.members.dtype == G.table.dtype
+
+
+def test_generated_subgroup_in_a_large_cyclic_group():
+    H = generated_subgroup(construct("cyclic:2000"), [2])
+    assert H.members.tolist() == list(range(0, 2000, 2))
 
 
 def test_generated_subgroup_bad_seed():
@@ -284,6 +302,19 @@ def test_lattice_overflow():
     G = construct("abelian:2,2,2")
     with pytest.raises(LatticeOverflowError):
         all_subgroups(G, max_subgroups=5)
+
+
+def test_subgroup_cap_below_one_is_rejected(capsys):
+    for cap in (0, -3):
+        with pytest.raises(InvalidParameterError, match=f"got {cap}"):
+            all_subgroups(construct("cyclic:1"), max_subgroups=cap)
+    assert main(["--max-subgroups", "0", "summarize", "--spec", "cyclic:1"]) == 2
+    assert "max_subgroups must be at least 1, got 0" in capsys.readouterr().err
+    assert main(["--max-subgroups", "-3", "summarize", "--spec", "cyclic:4"]) == 2
+    assert "got -3" in capsys.readouterr().err
+    argv = ["--max-subgroups", "0", "scan", "--family", "cyclic", "--scan-max-order", "4"]
+    assert main(argv) == 2
+    assert "got 0" in capsys.readouterr().err
 
 
 def test_subgroup_as_group_induces_consistent_orders():

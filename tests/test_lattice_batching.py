@@ -46,14 +46,14 @@ def _groups(tmp_path):
 
 
 def _records(L):
-    return [(H.order, H.members.tolist(), H.mask, tuple(H._gens)) for H in L.subgroups]
+    return [(H.order, H.members.tolist(), H.mask) for H in L.subgroups]
 
 
 def test_level_sweep_independent_of_chunk_budget(tmp_path, monkeypatch):
     """The default budget, one parent per chunk (4 * |G|: order-4 parents
     one at a time, larger ones through the sequential coset scan), and
     budget 0 (every parent scanned sequentially) give the same subgroups,
-    members, masks and chains, in sort_key order."""
+    members and masks, in sort_key order."""
     groups = _groups(tmp_path)
     expected = {name: _records(all_subgroups(G)) for name, G in groups.items()}
     assert len(expected["abelian:2,2,2,2,2"]) == 374
@@ -90,6 +90,8 @@ def test_batched_gauss_sum_matches_per_subgroup_totients(tmp_path):
     ]
     for G in groups:
         L = all_subgroups(G)
+        assert L.totients.dtype == np.int64, G
+        assert L.totients.tolist() == [subgroup_totient(H) for H in L.subgroups], G
         assert gauss_sum(G, L) == sum(subgroup_totient(H) for H in L.subgroups), G
 
 

@@ -19,7 +19,7 @@ from grouptotient import (
     validate_table,
     write_cayley_table,
 )
-from naive_oracles import naive_all_subgroups, naive_is_associative
+from naive_oracles import naive_all_subgroups, naive_closure, naive_is_associative
 
 SMALL_SPECS = (
     [f"cyclic:{n}" for n in range(1, 25)]
@@ -113,6 +113,7 @@ def test_generated_subgroup_is_smallest_closed_superset(spec, data):
     table = G.table
     for x in members:
         assert all(int(table[x, y]) in members for y in members)
+    assert members == naive_closure(table.tolist(), seed)
 
 
 @given(spec=spec_strategy)

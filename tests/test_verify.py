@@ -5,19 +5,30 @@ import json
 import pytest
 
 from grouptotient import (
+    InvalidParameterError,
     RangeTooLargeError,
     UnknownSuiteError,
+    all_subgroups,
     canonical_json,
     construct,
+    gauss_sum,
+    is_nilpotent,
     pq_group_spec,
     run_scan,
     run_suite,
     summarize,
+    sylow_subgroups,
     verify_classical_gauss,
     write_cayley_table,
 )
 from grouptotient.cli import main
-from grouptotient.verify import DIHEDRAL_TOTIENT_NOTE, abelian_type_specs, family_specs
+from grouptotient.verify import (
+    COR2_CORPUS_DEFAULT,
+    DIHEDRAL_TOTIENT_NOTE,
+    abelian_type_specs,
+    family_specs,
+    subgroup_gauss_sum_from_lattice,
+)
 
 
 def test_verify_classical_gauss_small():
@@ -109,6 +120,26 @@ def test_suite_thm7_records_discrepancy_note():
 def test_unknown_suite():
     with pytest.raises(UnknownSuiteError):
         run_suite("thm9")
+
+
+def test_unknown_suite_parameter_is_rejected(capsys):
+    with pytest.raises(InvalidParameterError, match="'nmax'.*it reads n_max"):
+        run_suite("thm7", {"nmax": 3})
+    assert main(["suite", "thm7", "--param", "nmax=3"]) == 2
+    err = capsys.readouterr().err
+    assert "'nmax'" in err and "n_max" in err
+
+
+def test_sylow_gauss_sums_read_off_the_parent_lattice():
+    """cor2 reads each Sylow factor off the parent lattice; the factor's
+    own lattice gives the same Gauss sum."""
+    for text in COR2_CORPUS_DEFAULT:
+        G = construct(text)
+        L = all_subgroups(G)
+        assert is_nilpotent(G, L), text
+        for p, (P,) in sylow_subgroups(G, L).items():
+            Q = P.as_group()
+            assert subgroup_gauss_sum_from_lattice(L, P) == gauss_sum(Q, all_subgroups(Q)), (text, p)
 
 
 def test_range_too_large():
