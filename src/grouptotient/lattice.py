@@ -30,15 +30,14 @@ The same pass counts each subgroup's totient and keeps the vector on the
 lattice, for every Gauss sum to read.  The rank-8 elementary abelian group
 (417199 subgroups) takes 2-4 s, totients included, on a 2-vCPU Xeon host.
 
-A subgroup is stored as its sorted member array only; its int bitset
-is derived on first read, so enumeration never builds one.  Maximal
-subgroups are read off the finished lattice by containment.
+The lattice keeps these level matrices and the totient vector; Subgroup
+objects are built on first read, so summaries never build one, and every
+containment query is a `Lattice.contained_in` row test over the levels.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -56,31 +55,22 @@ DEFAULT_MAX_SUBGROUPS = 200000
 
 
 class Subgroup:
-    """A subgroup of a parent group, stored as its sorted member array.
+    """A subgroup of a parent group, stored as its sorted member array in
+    the parent table's dtype, so equal member sets have equal bytes."""
 
-    The bitset ``mask`` (bit a set iff a is a member) is derived from the
-    members on first read and cached.
-    """
-
-    __slots__ = ("parent", "members", "_mask")
+    __slots__ = ("parent", "members")
 
     def __init__(self, parent: Group, members: np.ndarray):
         self.parent = parent
         self.members = members
-        self._mask = None
-
-    @property
-    def mask(self) -> int:
-        if self._mask is None:
-            self._mask = _mask_of(self.members, self.parent.order)
-        return self._mask
 
     @property
     def order(self) -> int:
         return len(self.members)
 
     def __contains__(self, a: int) -> bool:
-        return bool((self.mask >> a) & 1)
+        i = int(np.searchsorted(self.members, a))
+        return i < len(self.members) and int(self.members[i]) == a
 
     def __len__(self) -> int:
         return len(self.members)
@@ -89,11 +79,11 @@ class Subgroup:
         return (
             isinstance(other, Subgroup)
             and other.parent is self.parent
-            and other.mask == self.mask
+            and np.array_equal(other.members, self.members)
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.mask))
+        return hash((id(self.parent), self.members.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
@@ -113,18 +103,26 @@ class Subgroup:
 
 class Lattice:
     """All subgroups of a group in canonical order (by order, then by member
-    list), with their totients: ``totients[i]`` (int64) is the totient of
-    ``subgroups[i]``, computed once during enumeration."""
+    list): ``levels`` maps each order to its sorted member matrix, ``totients``
+    holds each subgroup's totient (int64); ``subgroups`` is built on first read."""
 
-    __slots__ = ("group", "subgroups", "totients")
+    __slots__ = ("group", "levels", "totients", "_subgroups")
 
-    def __init__(self, group: Group, subgroups: list[Subgroup], totients: np.ndarray):
+    def __init__(self, group: Group, levels: dict[int, np.ndarray], totients: np.ndarray):
         self.group = group
-        self.subgroups = subgroups
+        self.levels = levels
         self.totients = totients
+        self._subgroups = None
+
+    @property
+    def subgroups(self) -> list[Subgroup]:
+        if self._subgroups is None:
+            levels = self.levels.values()
+            self._subgroups = [Subgroup(self.group, row) for level in levels for row in level]
+        return self._subgroups
 
     def __len__(self) -> int:
-        return len(self.subgroups)
+        return len(self.totients)
 
     def __iter__(self):
         return iter(self.subgroups)
@@ -136,15 +134,15 @@ class Lattice:
         return self.subgroups[0]
 
     def of_order(self, k: int) -> list[Subgroup]:
-        """The subgroups of order k, bisected from the canonical order."""
-        lo = bisect_left(self.subgroups, k, key=len)
-        return self.subgroups[lo : bisect_right(self.subgroups, k, lo, key=len)]
+        """The subgroups of order k, sliced at their level's offset."""
+        start = sum(len(level) for m, level in self.levels.items() if m < k)
+        return self.subgroups[start : start + len(self.levels.get(k, ()))]
 
-
-def _mask_of(members: np.ndarray, n: int) -> int:
-    buf = np.zeros(n, dtype=bool)
-    buf[members] = True
-    return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
+    def contained_in(self, members) -> np.ndarray:
+        """Bool vector, in canonical order, of the subgroups inside `members`."""
+        inside = np.zeros(self.group.order, dtype=bool)
+        inside[members] = True
+        return np.concatenate([inside[level].all(axis=1) for level in self.levels.values()])
 
 
 def _least_generators(table: np.ndarray) -> dict[int, list[int]]:
@@ -220,7 +218,7 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     # order -> (member blocks, chains) of the subgroups found so far
     pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [()])}
     found = 1
-    subs: list[Subgroup] = []
+    levels: dict[int, np.ndarray] = {}
     element_orders = G.element_orders()
     totients = []
 
@@ -246,20 +244,22 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
         order = np.lexsort(level.T[::-1])
         level = level[order]
         chains = [chains[i] for i in order.tolist()]
-        subs.extend(Subgroup(G, row) for row in level)
+        levels[m] = level
         # totient: the members whose order is the subgroup's exponent
-        orders = element_orders[level]
-        totients.append(np.count_nonzero(orders == np.lcm.reduce(orders, axis=1)[:, None], axis=1))
+        per_block = max(1, _BATCH_LIMIT // m)
+        for start in range(0, len(level), per_block):
+            orders = element_orders[level[start : start + per_block]]
+            totients.append(np.count_nonzero(orders == np.lcm.reduce(orders, axis=1)[:, None], axis=1))
         rows = _BATCH_LIMIT // (m * n)
         if rows == 0:
             # one right coset H*a at a time, a its least element past the chain
             for members, chain in zip(level, chains):
-                start = chain[-1] if chain else 0
-                remaining = ((1 << n) - 1 >> start << start) & ~_mask_of(members, n)
-                while remaining:
-                    a = (remaining & -remaining).bit_length() - 1
+                covered = columns <= (chain[-1] if chain else 0)
+                covered[members] = True
+                # the identity is always covered, so argmin is 0 once all are
+                while a := int(covered.argmin()):
                     coset = table[members, a]
-                    remaining &= ~_mask_of(coset, n)
+                    covered[coset] = True
                     if int(coset.min()) == keys[a]:
                         join(members, chain, a, coset)
             continue
@@ -284,7 +284,7 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
             for i, b in zip(r.tolist(), a.tolist()):
                 join(block[i], chains[start + i], b, cosets[i, :, b])
 
-    return Lattice(G, subs, np.concatenate(totients).astype(np.int64))
+    return Lattice(G, levels, np.concatenate(totients).astype(np.int64))
 
 
 def _join_with_element(table, members, gens, a, first_coset, abelian, scratch, bound):
@@ -320,22 +320,21 @@ def maximal_subgroups(L: Lattice) -> list[Subgroup]:
     """Proper subgroups in no larger proper subgroup, in canonical order,
     read from the largest order down: a non-maximal H lies in some
     maximal subgroup of larger order, which is kept before H is seen."""
+    covered = np.zeros(len(L), dtype=bool)
     maxima: list[Subgroup] = []
-    for H in reversed(L.subgroups[:-1]):
-        if not any((H.mask & M.mask) == H.mask for M in maxima):
-            maxima.append(H)
+    for i in range(len(L) - 2, -1, -1):
+        if not covered[i]:
+            maxima.append(L.subgroups[i])
+            covered |= L.contained_in(L.subgroups[i].members)
     return maxima[::-1]
 
 
 def frattini(L: Lattice) -> Subgroup:
-    """Intersection of all maximal subgroups (the whole group if none exist)."""
-    maxima = maximal_subgroups(L)
-    if not maxima:
-        return L.whole_group()
-    mask = maxima[0].mask
-    for H in maxima[1:]:
-        mask &= H.mask
-    return next(H for H in L.of_order(mask.bit_count()) if H.mask == mask)
+    """Intersection of all maximal subgroups: the largest subgroup inside every maximum."""
+    inside = np.ones(len(L), dtype=bool)
+    for M in maximal_subgroups(L):
+        inside &= L.contained_in(M.members)
+    return L.subgroups[int(np.flatnonzero(inside)[-1])]
 
 
 def is_normal(G: Group, H: Subgroup) -> bool:
@@ -357,12 +356,14 @@ def complements(G: Group, N: Subgroup, L: Lattice) -> list[Subgroup]:
         raise NotNormalError("complement counting requires a normal subgroup")
     if G.order % N.order != 0:
         raise NotNormalError("subgroup order must divide the group order")
-    return [K for K in L.of_order(G.order // N.order) if (K.mask & N.mask) == 1]
+    inside = np.zeros(G.order, dtype=bool)
+    inside[N.members] = True
+    return [K for K in L.of_order(G.order // N.order) if inside[K.members].sum() == 1]
 
 
 def is_nilpotent(G: Group, L: Lattice) -> bool:
     """True iff every Sylow subgroup is unique (one subgroup per full prime part)."""
-    return all(len(L.of_order(p**k)) == 1 for p, k in factorize(G.order).items())
+    return all(len(L.levels.get(p**k, ())) == 1 for p, k in factorize(G.order).items())
 
 
 def sylow_subgroups(G: Group, L: Lattice) -> dict[int, list[Subgroup]]:

@@ -111,9 +111,7 @@ def summarize_spec(
 def subgroup_gauss_sum_from_lattice(L: Lattice, sub) -> int:
     """Gauss sum of a subgroup read off the parent lattice: sum the totients
     of all lattice members contained in it."""
-    return sum(
-        t for K, t in zip(L.subgroups, L.totients.tolist()) if (K.mask & sub.mask) == K.mask
-    )
+    return int(L.totients[L.contained_in(sub.members)].sum())
 
 
 def class_subgroup_closure(G: Group, L: Lattice) -> list[tuple[int, bool]]:
@@ -586,6 +584,11 @@ def run_suite(
         raise InvalidParameterError(
             f"suite {suite_id} has no parameter {unknown[0]!r}; it reads {', '.join(keys)}"
         )
+    for key in ("corpus", "pairs", "modular"):
+        if key in params and not isinstance(params[key], (list, tuple)):
+            raise InvalidParameterError(
+                f"suite {suite_id} parameter {key!r} must be a list or tuple, got {params[key]!r}"
+            )
     return runner(params, max_order, max_subgroups)
 
 

@@ -27,6 +27,7 @@ from grouptotient import (
 )
 from grouptotient.cli import main
 from naive_oracles import naive_all_subgroups, naive_cyclic_subgroups
+from test_lattice_batching import _bits
 
 ORACLE_SPECS = [
     "cyclic:12",
@@ -141,29 +142,29 @@ def test_lattice_canonical_order_and_no_duplicates():
         L = all_subgroups(construct(spec))
         keys = [H.sort_key() for H in L.subgroups]
         assert keys == sorted(keys)
-        assert len({H.mask for H in L.subgroups}) == len(L)
+        assert len({_bits(H) for H in L.subgroups}) == len(L)
 
 
 def test_lattice_intersection_closed():
     for spec in ("dihedral:6", "quaternion:16", "abelian:2,4", "sdp:7,3,2"):
         L = all_subgroups(construct(spec))
-        masks = {H.mask for H in L.subgroups}
+        masks = {_bits(H) for H in L.subgroups}
         for A in L.subgroups:
             for B in L.subgroups:
-                assert (A.mask & B.mask) in masks
+                assert (_bits(A) & _bits(B)) in masks
 
 
 def test_lattice_join_closed():
     for spec in ("dihedral:6", "abelian:2,2,2", "modular:3,3"):
         G = construct(spec)
         L = all_subgroups(G)
-        masks = {H.mask for H in L.subgroups}
+        masks = {_bits(H) for H in L.subgroups}
         for A in L.subgroups:
             for B in L.subgroups:
                 joined = generated_subgroup(
                     G, [int(m) for m in A.members] + [int(m) for m in B.members]
                 )
-                assert joined.mask in masks
+                assert _bits(joined) in masks
 
 
 def test_partition_identity_over_cyclic_subgroups():
@@ -180,9 +181,9 @@ def test_dihedral_subgroup_census():
         L = all_subgroups(G)
         rotation_mask = (1 << n) - 1  # rotations occupy indices 0..n-1
         for d in divisors(n):
-            inside = [H for H in L.subgroups if H.order == d and (H.mask & ~rotation_mask) == 0]
+            inside = [H for H in L.subgroups if H.order == d and (_bits(H) & ~rotation_mask) == 0]
             assert len(inside) == 1, (n, d)
-            mixed = [H for H in L.subgroups if H.order == 2 * d and (H.mask & ~rotation_mask) != 0]
+            mixed = [H for H in L.subgroups if H.order == 2 * d and (_bits(H) & ~rotation_mask) != 0]
             assert len(mixed) == n // d, (n, d)
         assert len(L) == sum(1 + n // d for d in divisors(n))
 
@@ -347,11 +348,11 @@ def test_fallback_coset_scan_matches_batch(monkeypatch):
     expected = {}
     for spec in specs:
         G = construct(spec)
-        expected[spec] = [(H.order, H.mask) for H in all_subgroups(G).subgroups]
+        expected[spec] = [(H.order, _bits(H)) for H in all_subgroups(G).subgroups]
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
     for spec in specs:
         G = construct(spec)
-        got = [(H.order, H.mask) for H in all_subgroups(G).subgroups]
+        got = [(H.order, _bits(H)) for H in all_subgroups(G).subgroups]
         assert got == expected[spec], spec
 
 
@@ -366,11 +367,11 @@ def test_fallback_coset_scan_matches_batch_on_permutation_groups(tmp_path, monke
         "a5": _group_from_generators(tmp_path, 5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]),
         "psl2_7": _group_from_generators(tmp_path, 8, psl),
     }
-    expected = {name: [(H.order, H.mask) for H in all_subgroups(G).subgroups] for name, G in groups.items()}
+    expected = {name: [(H.order, _bits(H)) for H in all_subgroups(G).subgroups] for name, G in groups.items()}
     assert [len(expected["a5"]), len(expected["psl2_7"])] == [59, 179]
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
     for name, G in groups.items():
-        got = [(H.order, H.mask) for H in all_subgroups(G).subgroups]
+        got = [(H.order, _bits(H)) for H in all_subgroups(G).subgroups]
         assert got == expected[name], name
 
 

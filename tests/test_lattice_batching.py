@@ -45,15 +45,23 @@ def _groups(tmp_path):
     }
 
 
+def _bits(H):
+    """The subgroup's members as an int bitset (bit a set iff a is a member)."""
+    return sum(1 << int(x) for x in H.members)
+
+
 def _records(L):
-    return [(H.order, H.members.tolist(), H.mask) for H in L.subgroups]
+    return [
+        (H.order, H.members.tolist(), _bits(H), t) for H, t in zip(L.subgroups, L.totients.tolist())
+    ]
 
 
 def test_level_sweep_independent_of_chunk_budget(tmp_path, monkeypatch):
     """The default budget, one parent per chunk (4 * |G|: order-4 parents
     one at a time, larger ones through the sequential coset scan), and
-    budget 0 (every parent scanned sequentially) give the same subgroups,
-    members and masks, in sort_key order."""
+    budget 0 (every parent scanned sequentially, and the totient pass one
+    row per block) give the same subgroups, members, bitsets and totients,
+    in sort_key order."""
     groups = _groups(tmp_path)
     expected = {name: _records(all_subgroups(G)) for name, G in groups.items()}
     assert len(expected["abelian:2,2,2,2,2"]) == 374
@@ -62,9 +70,8 @@ def test_level_sweep_independent_of_chunk_budget(tmp_path, monkeypatch):
         L = all_subgroups(G)
         keys = [H.sort_key() for H in L.subgroups]
         assert keys == sorted(keys), name
-        assert len({H.mask for H in L.subgroups}) == len(L), name
+        assert len({_bits(H) for H in L.subgroups}) == len(L), name
         for H in L.subgroups:
-            assert H.mask == sum(1 << int(x) for x in H.members), name
             assert H.members.dtype == G.table.dtype, name
         for budget in (4 * G.order, 0):
             monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", budget)

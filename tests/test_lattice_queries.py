@@ -1,42 +1,79 @@
 """Subgroups stored as member arrays, and lattice queries read off the lattice."""
 
+import tracemalloc
 from functools import reduce
 from operator import and_
-
-import pytest
 
 import grouptotient.lattice as lattice_mod
 from grouptotient import (
     all_subgroups,
+    construct,
     cyclic_subgroups,
     frattini,
+    gauss_sum,
     generated_subgroup,
     maximal_subgroups,
 )
-from test_lattice_batching import _groups
+from grouptotient.verify import _summary, subgroup_gauss_sum_from_lattice
+from test_lattice_batching import _bits, _groups
 
 
-def _bits(H):
-    return sum(1 << int(x) for x in H.members)
-
-
-def test_enumeration_builds_no_masks(tmp_path):
+def test_contained_in_is_set_containment(tmp_path):
     for name, G in _groups(tmp_path).items():
-        assert all(H._mask is None for H in all_subgroups(G).subgroups), name
+        L = all_subgroups(G)
+        sets = [set(H.members.tolist()) for H in L.subgroups]
+        for H, h in zip(L.subgroups, sets):
+            inside = L.contained_in(H.members)
+            assert inside.dtype == bool and len(inside) == len(L), name
+            assert inside.tolist() == [k <= h for k in sets], name
+            assert all((a in H) == (a in h) for a in range(G.order)), name
 
 
-def test_mask_is_the_bitset_of_the_members(tmp_path):
+def test_subgroups_compare_by_members_across_constructors(tmp_path):
+    """Equal member sets have equal bytes whichever routine built them, so
+    cyclic and generated subgroups hash and compare equal to lattice rows."""
     for name, G in _groups(tmp_path).items():
-        subs = (
-            all_subgroups(G).subgroups
-            + cyclic_subgroups(G)
-            + [generated_subgroup(G, [1]), generated_subgroup(G, [1, G.order - 1])]
-        )
-        for H in subs:
-            assert H.mask == _bits(H), name
-            assert H._mask == H.mask, name
-        with pytest.raises(AttributeError):
-            subs[0].mask = 0
+        L = all_subgroups(G)
+        position = {H: i for i, H in enumerate(L.subgroups)}
+        for H in cyclic_subgroups(G) + [generated_subgroup(G, [1, G.order - 1])]:
+            assert L.subgroups[position[H]] == H, name
+        assert len(position) == len(L), name
+
+
+def test_summary_path_builds_no_subgroup_objects(tmp_path):
+    """Gauss sum, lattice size and nilpotency are read off the levels."""
+    for name, G in _groups(tmp_path).items():
+        L = all_subgroups(G)
+        _summary(G, L)
+        assert L._subgroups is None, name
+        assert L.subgroups is L.subgroups, name
+
+
+def test_down_set_gauss_sum_matches_each_subgroups_own_lattice(tmp_path):
+    """Oracle sharing no containment code: H's own lattice, built from
+    H.as_group(), gives the Gauss sum read off the parent lattice."""
+    groups = _groups(tmp_path)
+    for name in ("abelian:2,2,4", "dihedral:12", "sdp:7,3,2", "a5"):
+        G = groups[name] if name in groups else construct(name)
+        L = all_subgroups(G)
+        for H in L.subgroups:
+            Q = H.as_group()
+            assert subgroup_gauss_sum_from_lattice(L, H) == gauss_sum(Q, all_subgroups(Q)), name
+
+
+def test_rank_7_lattice_is_held_as_level_matrices():
+    """The 29,212 subgroups of 2^7 are held in under 2 MiB."""
+    G = construct("abelian:2,2,2,2,2,2,2")
+    G.element_orders()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        L = all_subgroups(G)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(L) == 29212
+    assert held < 2 << 20, held
 
 
 def test_of_order_matches_a_linear_filter(tmp_path):
@@ -73,4 +110,4 @@ def test_frattini_is_the_lattice_member_cut_out_by_the_maxima(tmp_path):
         L = all_subgroups(G)
         F = frattini(L)
         assert any(F is H for H in L.subgroups), name
-        assert F.mask == reduce(and_, (M.mask for M in maximal_subgroups(L))), name
+        assert _bits(F) == reduce(and_, (_bits(M) for M in maximal_subgroups(L))), name

@@ -130,6 +130,27 @@ def test_unknown_suite_parameter_is_rejected(capsys):
     assert "'nmax'" in err and "n_max" in err
 
 
+@pytest.mark.parametrize(
+    "suite_id, key",
+    [
+        ("thm4", "corpus"),
+        ("cor2", "corpus"),
+        ("closing_equality", "corpus"),
+        ("prop1", "pairs"),
+        ("thm8", "pairs"),
+        ("example_pq", "pairs"),
+        ("thm5", "modular"),
+    ],
+)
+def test_sequence_parameter_given_as_integer_is_rejected(suite_id, key, capsys):
+    """The CLI passes only integers; a sequence key given one exits 2
+    naming the key, instead of failing inside the suite."""
+    with pytest.raises(InvalidParameterError, match=f"'{key}' must be a list or tuple"):
+        run_suite(suite_id, {key: 3})
+    assert main(["suite", suite_id, "--param", f"{key}=3"]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_sylow_gauss_sums_read_off_the_parent_lattice():
     """cor2 reads each Sylow factor off the parent lattice; the factor's
     own lattice gives the same Gauss sum."""
