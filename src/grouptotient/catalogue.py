@@ -40,8 +40,9 @@ class CatalogueEntry:
     group: Group
 
 
-def read_cayley_table(path) -> Group:
-    """Parse and fully validate a Cayley-table file."""
+def read_cayley_table(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:
+    """Parse and fully validate a Cayley-table file; an order above
+    `max_order` is refused before any row is parsed."""
     lines = _read_lines(path)
     if not lines:
         raise ParseError("empty file", 1)
@@ -51,6 +52,8 @@ def read_cayley_table(path) -> Group:
         raise ParseError(f"expected an integer order, got {lines[0]!r}", 1) from None
     if n < 1:
         raise ParseError(f"order must be >= 1, got {n}", 1)
+    if n > max_order:
+        raise OrderOverflowError(n, max_order)
     if len(lines) != n + 1:
         raise ParseError(
             f"expected exactly {n} table rows, found {len(lines) - 1}",
@@ -138,8 +141,9 @@ def read_permutation_generators(path, max_order: int = DEFAULT_MAX_ORDER) -> Gro
     return Group(table)
 
 
-def load_catalogue(directory) -> list[CatalogueEntry]:
-    """Ingest every recognized file in a directory, ordered by id."""
+def load_catalogue(directory, max_order: int = DEFAULT_MAX_ORDER) -> list[CatalogueEntry]:
+    """Ingest every recognized file in a directory, ordered by id; no
+    group may exceed `max_order`."""
     directory = Path(directory)
     entries: list[CatalogueEntry] = []
     seen: set[str] = set()
@@ -147,10 +151,10 @@ def load_catalogue(directory) -> list[CatalogueEntry]:
         path = directory / name
         if name.endswith(CAYLEY_SUFFIX):
             source = "cayley-table"
-            group = read_cayley_table(path)
+            group = read_cayley_table(path, max_order=max_order)
         elif name.endswith(GENERATORS_SUFFIX):
             source = "permutation-generators"
-            group = read_permutation_generators(path)
+            group = read_permutation_generators(path, max_order=max_order)
         else:
             continue
         stem = path.stem

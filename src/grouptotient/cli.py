@@ -21,7 +21,6 @@ from pathlib import Path
 from .catalogue import load_catalogue, read_cayley_table
 from .errors import GroupError
 from .groups import DEFAULT_MAX_ORDER, construct
-from .lattice import DEFAULT_MAX_SUBGROUPS
 from .reports import canonical_json, to_csv, write_report
 from .verify import (
     SCAN_FAMILIES,
@@ -101,11 +100,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 def _emit(result, args, summary_id: str = "group") -> None:
     if args.out:
-        if args.format == "csv":
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(to_csv(result, summary_id=summary_id))
-        else:
-            write_report(result, args.out, format=args.format)
+        write_report(result, args.out, format=args.format, summary_id=summary_id)
     elif args.format == "csv":
         sys.stdout.write(to_csv(result, summary_id=summary_id))
     else:
@@ -135,22 +130,22 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
+    # an unset subgroup cap leaves each command its own default
+    caps = {} if args.max_subgroups is None else {"max_subgroups": args.max_subgroups}
     if args.command == "summarize":
         if args.spec:
             group = construct(args.spec, max_order=args.max_order)
             summary_id = str(group.spec)
         else:
-            group = read_cayley_table(args.file)
+            group = read_cayley_table(args.file, max_order=args.max_order)
             summary_id = Path(args.file).stem
-        caps = {} if args.max_subgroups is None else {"max_subgroups": args.max_subgroups}
         _emit(summarize(group, **caps), args, summary_id=summary_id)
         return 0
 
     if args.command == "suite":
-        kwargs = {"max_order": args.max_order}
-        if args.max_subgroups is not None:
-            kwargs["max_subgroups"] = args.max_subgroups
-        result = run_suite(args.suite_id, _parse_params(args.param), **kwargs)
+        result = run_suite(
+            args.suite_id, _parse_params(args.param), max_order=args.max_order, **caps
+        )
         _emit(result, args)
         return 0 if result.all_pass else 1
 
@@ -164,9 +159,8 @@ def _dispatch(args) -> int:
         bound = args.scan_max_order if args.scan_max_order is not None else args.max_order
         corpus = family_specs(args.family, bound)
     else:
-        corpus = load_catalogue(Path(args.catalogue))
-    caps = args.max_subgroups if args.max_subgroups is not None else DEFAULT_MAX_SUBGROUPS
-    result = run_scan(corpus, max_order=args.max_order, max_subgroups=caps, jobs=args.jobs)
+        corpus = load_catalogue(Path(args.catalogue), max_order=args.max_order)
+    result = run_scan(corpus, max_order=args.max_order, jobs=args.jobs, **caps)
     _emit(result, args)
     if args.csv:
         write_report(result, args.csv, format="csv")

@@ -125,7 +125,7 @@ def _parse_product_args(rest: str, full: str) -> list[GroupSpec]:
         parts.append(parse_spec(rest[i + 1 : j - 1]))
         i = j
         if i < len(rest):
-            if rest[i] != "x":
+            if rest[i] != "x" or i + 1 == len(rest):
                 raise InvalidParameterError(f"expected 'x' between factors in {full!r}")
             i += 1
     if not parts:

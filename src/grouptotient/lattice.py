@@ -134,9 +134,8 @@ class Lattice:
         return self.subgroups[0]
 
     def of_order(self, k: int) -> list[Subgroup]:
-        """The subgroups of order k, sliced at their level's offset."""
-        start = sum(len(level) for m, level in self.levels.items() if m < k)
-        return self.subgroups[start : start + len(self.levels.get(k, ()))]
+        """The subgroups of order k in canonical order, built from their level alone."""
+        return [Subgroup(self.group, row) for row in self.levels.get(k, ())]
 
     def contained_in(self, members) -> np.ndarray:
         """Bool vector, in canonical order, of the subgroups inside `members`."""

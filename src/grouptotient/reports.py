@@ -14,8 +14,6 @@ import json
 from dataclasses import asdict, dataclass, field, is_dataclass
 from fractions import Fraction
 
-from .totient import GaussSummary
-
 SCAN_CSV_COLUMNS = (
     "id",
     "order",
@@ -59,6 +57,20 @@ class SuiteResult:
 
 
 @dataclass(frozen=True)
+class GaussSummary:
+    """Machine-readable record of one group's totient/Gauss-sum profile."""
+
+    group_order: int
+    phi: int
+    s_value: int
+    cyclic_sum: int
+    subgroup_count: int
+    in_class_c: bool
+    nilpotent: bool
+    cyclic: bool
+
+
+@dataclass(frozen=True)
 class ScanRow:
     """Per-group scan record; field order matches the CSV column order."""
 
@@ -70,6 +82,20 @@ class ScanRow:
     nilpotent: bool
     cyclic: bool
     in_class_c: bool
+
+    @classmethod
+    def of(cls, ident: str, summary: GaussSummary) -> ScanRow:
+        """The row of one group's summary under the given id."""
+        return cls(
+            id=ident,
+            order=summary.group_order,
+            phi=summary.phi,
+            s_value=summary.s_value,
+            subgroup_count=summary.subgroup_count,
+            nilpotent=summary.nilpotent,
+            cyclic=summary.cyclic,
+            in_class_c=summary.in_class_c,
+        )
 
 
 @dataclass
@@ -84,9 +110,6 @@ class ScanResult:
     @property
     def clean(self) -> bool:
         return not self.nilpotent_noncyclic_members and not self.inequality_failures
-
-
-Report = SuiteResult | ScanResult | GaussSummary
 
 
 def to_jsonable(value):
@@ -144,20 +167,7 @@ def to_csv(result, summary_id: str = "group") -> str:
             writer.writerow(_group_row_cells(row))
     elif isinstance(result, GaussSummary):
         writer.writerow(SCAN_CSV_COLUMNS)
-        writer.writerow(
-            _group_row_cells(
-                ScanRow(
-                    id=summary_id,
-                    order=result.group_order,
-                    phi=result.phi,
-                    s_value=result.s_value,
-                    subgroup_count=result.subgroup_count,
-                    nilpotent=result.nilpotent,
-                    cyclic=result.cyclic,
-                    in_class_c=result.in_class_c,
-                )
-            )
-        )
+        writer.writerow(_group_row_cells(ScanRow.of(summary_id, result)))
     elif isinstance(result, SuiteResult):
         writer.writerow(("suite_id", "case_id", "expected", "actual", "pass"))
         for case in result.cases:
@@ -196,12 +206,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_report(result, path, format: str = "json") -> None:
-    """Persist a suite result, scan result, or summary as canonical JSON or CSV."""
+def write_report(result, path, format: str = "json", summary_id: str = "group") -> None:
+    """Persist a suite result, scan result, or summary as canonical JSON or CSV;
+    `summary_id` names a summary's CSV row."""
     if format == "json":
         text = canonical_json(result)
     elif format == "csv":
-        text = to_csv(result)
+        text = to_csv(result, summary_id=summary_id)
     else:
         raise ValueError(f"unknown report format {format!r}; expected 'json' or 'csv'")
     with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -10,7 +10,6 @@ for cyclic groups is the classical divisor identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +18,7 @@ from .errors import InvalidParameterError, MixedPrimesError
 from .groups import AbelianType, Group
 from .lattice import Lattice, Subgroup, complements, cyclic_subgroups, is_normal
 from .numtheory import euler_phi, factorize, is_prime, prime_power, valuation
+from .reports import GaussSummary
 
 
 def subgroup_totient(H: Subgroup) -> int:
@@ -165,45 +165,25 @@ def fixed_point_free_decomposition(
     """Search for (N, H, p): a nontrivial cyclic normal Hall subgroup N
     with a complement H of prime order p acting without nontrivial fixed
     points on N.  Returns the first witness in canonical order, or None.
+    Only the levels of prime index p, p^2 not dividing n, are read, largest
+    p (smallest N, first in canonical order) first.
     """
     n = G.order
     table = G.table
     inv = G.inverses()
-    for N in L.subgroups:
-        if N.order <= 1 or N.order == n:
+    for p in sorted(factorize(n), reverse=True):
+        if p == n or n % (p * p) == 0:
             continue
-        index = n // N.order
-        if n % N.order or not is_prime(index):
-            continue
-        if math.gcd(N.order, index) != 1:
-            continue
-        if not subgroup_is_cyclic(N) or not is_normal(G, N):
-            continue
-        members = np.asarray(N.members, dtype=np.int64)
-        for H in complements(G, N, L):
-            h = int(H.members[1])
-            conj = table[table[h, members], inv[h]]
-            if int(np.count_nonzero(conj == members)) == 1:
-                return (N, H, index)
+        for N in L.of_order(n // p):
+            if not subgroup_is_cyclic(N) or not is_normal(G, N):
+                continue
+            members = np.asarray(N.members, dtype=np.int64)
+            for H in complements(G, N, L):
+                h = int(H.members[1])
+                conj = table[table[h, members], inv[h]]
+                if int(np.count_nonzero(conj == members)) == 1:
+                    return (N, H, p)
     return None
-
-
-# ---------------------------------------------------------------------------
-# per-group summary
-
-
-@dataclass(frozen=True)
-class GaussSummary:
-    """Machine-readable record of one group's totient/Gauss-sum profile."""
-
-    group_order: int
-    phi: int
-    s_value: int
-    cyclic_sum: int
-    subgroup_count: int
-    in_class_c: bool
-    nilpotent: bool
-    cyclic: bool
 
 
 def in_gauss_class(summary: GaussSummary) -> bool:

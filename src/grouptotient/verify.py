@@ -12,7 +12,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from itertools import repeat
+from itertools import count, repeat, takewhile
 
 from .catalogue import CatalogueEntry
 from .errors import (
@@ -36,9 +36,8 @@ from .lattice import (
     sylow_subgroups,
 )
 from .numtheory import divisors, euler_phi, factorize, is_prime, prime_power
-from .reports import ScanResult, ScanRow, SuiteResult
+from .reports import GaussSummary, ScanResult, ScanRow, SuiteResult
 from .totient import (
-    GaussSummary,
     cyclic_totient_sum,
     dihedral_gauss_sum,
     dihedral_totient,
@@ -52,19 +51,6 @@ from .totient import (
 # Sized so the largest order-256 abelian lattice (417199 subgroups for the
 # rank-8 elementary abelian group) fits without tripping the guard.
 SUITE_MAX_SUBGROUPS = 600000
-
-SUITE_IDS = (
-    "prop1",
-    "cor2",
-    "thm3",
-    "thm4",
-    "thm5",
-    "thm7",
-    "thm8",
-    "example_pq",
-    "remark_d2n",
-    "closing_equality",
-)
 
 DIHEDRAL_TOTIENT_NOTE = (
     "dihedral parameter 2: the published piecewise totient lists 4, but direct "
@@ -194,26 +180,11 @@ def family_specs(family: str, max_order: int) -> list[GroupSpec]:
     if family == "dihedral":
         return [GroupSpec("dihedral", (n,)) for n in range(2, max_order // 2 + 1)]
     if family == "dihedral2":
-        out = []
-        n = 4
-        while 2 * n <= max_order:
-            out.append(GroupSpec("dihedral", (n,)))
-            n *= 2
-        return out
+        return [GroupSpec("dihedral", (n,)) for n in _doublings(4, max_order // 2)]
     if family == "quaternion":
-        out = []
-        o = 8
-        while o <= max_order:
-            out.append(GroupSpec("quaternion", (o,)))
-            o *= 2
-        return out
+        return [GroupSpec("quaternion", (o,)) for o in _doublings(8, max_order)]
     if family == "semidihedral":
-        out = []
-        o = 16
-        while o <= max_order:
-            out.append(GroupSpec("semidihedral", (o,)))
-            o *= 2
-        return out
+        return [GroupSpec("semidihedral", (o,)) for o in _doublings(16, max_order)]
     if family == "modular":
         out = []
         p = 2
@@ -227,17 +198,23 @@ def family_specs(family: str, max_order: int) -> list[GroupSpec]:
             p += 1
         return out
     if family == "heisenberg":
-        return [
-            GroupSpec("heisenberg", (p,))
-            for p in range(3, int(round(max_order ** (1 / 3))) + 2)
-            if is_prime(p) and p % 2 and p**3 <= max_order
-        ]
+        odd = takewhile(lambda p: p**3 <= max_order, count(3, 2))
+        return [GroupSpec("heisenberg", (p,)) for p in odd if is_prime(p)]
     if family == "nilpotent":
         out = []
         for sub in ("abelian", "dihedral2", "quaternion", "semidihedral", "modular", "heisenberg"):
             out.extend(family_specs(sub, max_order))
         return out
     raise InvalidParameterError(f"unknown scan family {family!r}")
+
+
+def _doublings(start: int, bound: int) -> list[int]:
+    """start, 2 * start, 4 * start, ... up to bound."""
+    out = []
+    while start <= bound:
+        out.append(start)
+        start *= 2
+    return out
 
 
 SCAN_FAMILIES = (
@@ -295,6 +272,17 @@ def _require_order(spec_order: int, max_order: int) -> None:
         )
 
 
+def _parsed(corpus) -> list[GroupSpec]:
+    return [parse_spec(text) if isinstance(text, str) else text for text in corpus]
+
+
+def _group_and_lattice(spec: GroupSpec, max_order, max_subgroups) -> tuple[Group, Lattice]:
+    """The group of a suite spec and its complete lattice, within both caps."""
+    _require_order(spec.order(), max_order)
+    G = construct(spec, max_order=max_order)
+    return G, all_subgroups(G, max_subgroups=max_subgroups)
+
+
 def _suite_thm3(params, max_order, max_subgroups) -> SuiteResult:
     bound = params.get("max_order", 256)
     _require_order(bound, max_order)
@@ -336,14 +324,11 @@ THM4_CORPUS_DEFAULT = (
 def _suite_thm4(params, max_order, max_subgroups) -> SuiteResult:
     corpus = params.get("corpus", THM4_CORPUS_DEFAULT)
     result = SuiteResult(suite_id="thm4")
-    for text in corpus:
-        spec = parse_spec(text) if isinstance(text, str) else text
-        _require_order(spec.order(), max_order)
+    for spec in _parsed(corpus):
         pk = prime_power(spec.order())
         if pk is None or pk[1] < 4:
             raise InvalidParameterError(f"{spec}: corpus group must have order p^n, n >= 4")
-        G = construct(spec, max_order=max_order)
-        L = all_subgroups(G, max_subgroups=max_subgroups)
+        G, L = _group_and_lattice(spec, max_order, max_subgroups)
         witness = large_abelian_subgroup_witness(G, L)
         if witness is None:
             result.add(f"{spec}/no-witness", "no-witness", "no-witness")
@@ -374,8 +359,7 @@ def _suite_thm5(params, max_order, max_subgroups) -> SuiteResult:
         _require_order(p**n, max_order)
         jobs.append(("M", GroupSpec("modular", (p, n)), None))
     for family, spec, closed in jobs:
-        G = construct(spec, max_order=max_order)
-        L = all_subgroups(G, max_subgroups=max_subgroups)
+        G, L = _group_and_lattice(spec, max_order, max_subgroups)
         s = gauss_sum(G, L)
         if closed is not None:
             result.add(f"{spec}/closed-form", s, closed)
@@ -418,9 +402,7 @@ def _suite_thm8(params, max_order, max_subgroups) -> SuiteResult:
     specs = [GroupSpec("dihedral", (n,)) for n in range(3, n_max + 1, 2)]
     specs += [pq_group_spec(p, q) for p, q in pairs]
     for spec in specs:
-        _require_order(spec.order(), max_order)
-        G = construct(spec, max_order=max_order)
-        L = all_subgroups(G, max_subgroups=max_subgroups)
+        G, L = _group_and_lattice(spec, max_order, max_subgroups)
         witness = fixed_point_free_decomposition(G, L)
         result.add(f"{spec}/witness", True, witness is not None)
         if witness is None:
@@ -438,9 +420,7 @@ def _suite_example_pq(params, max_order, max_subgroups) -> SuiteResult:
     result = SuiteResult(suite_id="example_pq")
     for p, q in pairs:
         spec = pq_group_spec(p, q)
-        _require_order(spec.order(), max_order)
-        G = construct(spec, max_order=max_order)
-        L = all_subgroups(G, max_subgroups=max_subgroups)
+        G, L = _group_and_lattice(spec, max_order, max_subgroups)
         s = gauss_sum(G, L)
         result.add(f"{spec}/gauss-sum", p * q, s)
         result.add(f"{spec}/subgroup-count", q + 3, len(L))
@@ -509,13 +489,10 @@ def _suite_cor2(params, max_order, max_subgroups) -> SuiteResult:
     corpus = params.get("corpus", COR2_CORPUS_DEFAULT)
     bound = params.get("max_order", 500)
     result = SuiteResult(suite_id="cor2")
-    for text in corpus:
-        spec = parse_spec(text) if isinstance(text, str) else text
+    for spec in _parsed(corpus):
         if spec.order() > bound:
             raise RangeTooLargeError(f"{spec}: order {spec.order()} exceeds suite bound {bound}")
-        _require_order(spec.order(), max_order)
-        G = construct(spec, max_order=max_order)
-        L = all_subgroups(G, max_subgroups=max_subgroups)
+        G, L = _group_and_lattice(spec, max_order, max_subgroups)
         nilpotent = is_nilpotent(G, L)
         result.add(f"{spec}/nilpotent", True, nilpotent)
         if not nilpotent:  # no unique Sylow subgroups to factor over
@@ -537,11 +514,8 @@ CLOSING_CORPUS_DEFAULT = tuple(
 def _suite_closing_equality(params, max_order, max_subgroups) -> SuiteResult:
     corpus = params.get("corpus", CLOSING_CORPUS_DEFAULT)
     result = SuiteResult(suite_id="closing_equality")
-    for text in corpus:
-        spec = parse_spec(text) if isinstance(text, str) else text
-        _require_order(spec.order(), max_order)
-        G = construct(spec, max_order=max_order)
-        L = all_subgroups(G, max_subgroups=max_subgroups)
+    for spec in _parsed(corpus):
+        G, L = _group_and_lattice(spec, max_order, max_subgroups)
         summary = _summary(G, L)
         # class membership is equivalent to the cyclic lower bound being attained
         result.add(str(spec), summary.in_class_c, summary.s_value == summary.cyclic_sum)
@@ -565,6 +539,7 @@ _SUITES = {
     "remark_d2n": (_suite_remark_d2n, ("n_max",)),
     "closing_equality": (_suite_closing_equality, ("corpus",)),
 }
+SUITE_IDS = tuple(_SUITES)
 
 
 def run_suite(
@@ -615,17 +590,7 @@ def _scan_item(item, max_order, max_subgroups):
             summary = summarize(group, max_subgroups=max_subgroups)
     except (LatticeOverflowError, OrderOverflowError) as exc:
         return ("skip", ident, str(exc))
-    row = ScanRow(
-        id=ident,
-        order=summary.group_order,
-        phi=summary.phi,
-        s_value=summary.s_value,
-        subgroup_count=summary.subgroup_count,
-        nilpotent=summary.nilpotent,
-        cyclic=summary.cyclic,
-        in_class_c=summary.in_class_c,
-    )
-    return ("row", row)
+    return ("row", ScanRow.of(ident, summary))
 
 
 def run_scan(

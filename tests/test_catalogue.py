@@ -163,6 +163,15 @@ def test_permutation_rejects_non_permutation(tmp_path):
         read_permutation_generators(path)
 
 
+def test_cayley_order_overflow_is_raised_before_rows_are_read(tmp_path):
+    path = tmp_path / "big.cayley"
+    path.write_text("3\n0 1\n")  # too few rows, but the order is checked first
+    with pytest.raises(OrderOverflowError):
+        read_cayley_table(path, max_order=2)
+    with pytest.raises(ParseError):
+        read_cayley_table(path, max_order=3)
+
+
 def test_permutation_order_overflow(tmp_path):
     path = tmp_path / "big.gens"
     path.write_text("5\n1 2 3 4 0\n1 0 2 3 4\n")  # generates all 120 permutations

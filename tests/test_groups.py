@@ -261,7 +261,18 @@ def test_nested_product_spec():
     assert construct(spec).order == 30
 
 
-@pytest.mark.parametrize("bad", ["nosuch:3", "cyclic", "cyclic:x", "product:(cyclic:2", "product:"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "nosuch:3",
+        "cyclic",
+        "cyclic:x",
+        "product:(cyclic:2",
+        "product:",
+        "product:(cyclic:2)x",
+        "product:(cyclic:2)x(cyclic:3)x",
+    ],
+)
 def test_malformed_specs_rejected(bad):
     with pytest.raises(InvalidParameterError):
         parse_spec(bad)

@@ -77,11 +77,14 @@ def test_rank_7_lattice_is_held_as_level_matrices():
 
 
 def test_of_order_matches_a_linear_filter(tmp_path):
+    """of_order builds its level's views alone, leaving `subgroups` unbuilt."""
     for name, G in _groups(tmp_path).items():
         L = all_subgroups(G)
-        for k in range(1, G.order + 2):
-            expected = [id(H) for H in L.subgroups if H.order == k]
-            assert [id(H) for H in L.of_order(k)] == expected, (name, k)
+        levels = {k: [H.members.tobytes() for H in L.of_order(k)] for k in range(1, G.order + 2)}
+        assert L._subgroups is None, name
+        for k, rows in levels.items():
+            expected = [H.members.tobytes() for H in L.subgroups if H.order == k]
+            assert rows == expected, (name, k)
 
 
 def test_maximal_subgroups_are_read_off_the_lattice(tmp_path, monkeypatch):

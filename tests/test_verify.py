@@ -1,6 +1,7 @@
 """Suites, scans, determinism, and the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -25,6 +26,7 @@ from grouptotient.cli import main
 from grouptotient.verify import (
     COR2_CORPUS_DEFAULT,
     DIHEDRAL_TOTIENT_NOTE,
+    PQ_PAIRS_DEFAULT,
     abelian_type_specs,
     family_specs,
     subgroup_gauss_sum_from_lattice,
@@ -61,6 +63,9 @@ def test_family_specs_bounds():
     assert all(s.order() <= 128 for s in family_specs("nilpotent", 128))
     heis = family_specs("heisenberg", 130)
     assert [s.params[0] for s in heis] == [3, 5]
+    assert [[s.params[0] for s in family_specs("heisenberg", b)] for b in (26, 27, 124, 125)] == [
+        [], [3], [3], [3, 5]
+    ]
 
 
 @pytest.mark.parametrize(
@@ -168,6 +173,11 @@ def test_range_too_large():
         run_suite("thm7", {"n_max": 100}, max_order=60)
     with pytest.raises(RangeTooLargeError):
         run_suite("thm3", {"max_order": 2000}, max_order=100)
+    # suites that build a lattice per corpus group check each group's order
+    with pytest.raises(RangeTooLargeError):
+        run_suite("closing_equality", {"corpus": ["cyclic:60"]}, max_order=50)
+    with pytest.raises(RangeTooLargeError):
+        run_suite("thm4", {"corpus": ["abelian:2,2,2,2,2,2"]}, max_order=32)
 
 
 def test_pq_group_spec():
@@ -401,6 +411,55 @@ def test_near_miss_semidirect_product_without_witness():
     L = all_subgroups(G)
     assert fixed_point_free_decomposition(G, L) is None
     assert gauss_sum(G, L) == 30
+
+
+def _linear_decomposition(G, L):
+    """The decomposition witness search as one pass over every subgroup."""
+    from grouptotient import complements, is_normal, is_prime, subgroup_is_cyclic
+
+    n, table, inv = G.order, G.table, G.inverses()
+    for N in L.subgroups:
+        index = n // N.order
+        if N.order in (1, n) or not is_prime(index) or math.gcd(N.order, index) != 1:
+            continue
+        if not subgroup_is_cyclic(N) or not is_normal(G, N):
+            continue
+        for H in complements(G, N, L):
+            h = int(H.members[1])
+            if int((table[table[h, N.members], inv[h]] == N.members).sum()) == 1:
+                return (N, H, index)
+    return None
+
+
+def test_decomposition_reads_only_prime_index_levels():
+    """The witness matches a linear scan, and no subgroup list is built."""
+    from grouptotient import fixed_point_free_decomposition
+
+    specs = [f"dihedral:{n}" for n in range(3, 46, 2)]
+    specs += [str(pq_group_spec(p, q)) for p, q in PQ_PAIRS_DEFAULT]
+    specs += ["dihedral:12", "cyclic:12", "sdp:15,2,4", "cyclic:7", "dihedral:4"]
+    for spec in specs:
+        G = construct(spec)
+        L = all_subgroups(G)
+        witness = fixed_point_free_decomposition(G, L)
+        assert L._subgroups is None, spec
+        assert witness == _linear_decomposition(G, L), spec
+
+
+def test_cli_max_order_caps_ingested_files(tmp_path, capsys):
+    """A 60-element table and a 120-element generated group exceed --max-order 50."""
+    table, gens = tmp_path / "table", tmp_path / "gens"
+    table.mkdir()
+    gens.mkdir()
+    write_cayley_table(construct("dihedral:30"), table / "d30.cayley")
+    (gens / "s5.gens").write_text("5\n1 2 3 4 0\n1 0 2 3 4\n")
+    for argv in (
+        ["scan", "--catalogue", str(table)],
+        ["scan", "--catalogue", str(gens)],
+        ["summarize", "--file", str(table / "d30.cayley")],
+    ):
+        assert main(["--max-order", "50", *argv]) == 2, argv
+        assert "exceeds the configured cap 50" in capsys.readouterr().err, argv
 
 
 def _inline_pool(monkeypatch, cpus):
