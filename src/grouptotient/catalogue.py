@@ -4,14 +4,20 @@ Cayley-table files (``.cayley``): UTF-8 text with LF newlines.  Line 1
 holds the order n; lines 2..n+1 hold n space-separated indices in
 0..n-1, row a listing a*0, a*1, ..., a*(n-1).  Row and column 0 must be
 the identity; the table is fully validated (identity, Latin square,
-associativity) before a group is returned.
+associativity) before a group is returned.  Line 1 is read alone, so an
+order over the cap is refused before the body is read.
 
 Permutation-generator files (``.gens``): line 1 holds the degree d;
 every following non-empty line is one generator, written as d
 space-separated images of 0..d-1.  The generated permutation group is
 closed via a breadth-first worklist and re-indexed with the identity at
 0 and the remaining elements in discovery order, which makes ingestion
-deterministic.
+deterministic.  The closure composes each element with each generator
+once (n*k tuples for k generators) and keeps the right Cayley graph it
+walks: e_i*g for every i and g, and for each new element the parent and
+generator it was found from.  The n^2 table is then filled from that
+graph with numpy, one gather per breadth-first depth, and no product of
+two elements is ever formed as a permutation.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .errors import (
     OrderOverflowError,
     ParseError,
 )
-from .groups import DEFAULT_MAX_ORDER, Group, validate_table
+from .groups import DEFAULT_MAX_ORDER, Group, _index_dtype, validate_table
 
 CAYLEY_SUFFIX = ".cayley"
 GENERATORS_SUFFIX = ".gens"
@@ -42,27 +48,51 @@ class CatalogueEntry:
 
 def read_cayley_table(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Parse and fully validate a Cayley-table file; an order above
-    `max_order` is refused before any row is parsed."""
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError("empty file", 1)
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise ParseError(f"expected an integer order, got {lines[0]!r}", 1) from None
-    if n < 1:
-        raise ParseError(f"order must be >= 1, got {n}", 1)
-    if n > max_order:
-        raise OrderOverflowError(n, max_order)
-    if len(lines) != n + 1:
+    `max_order` is refused after reading line 1 alone."""
+    with open(path, "r", encoding="utf-8") as handle:
+        first = handle.readline()
+        head = first.removesuffix("\n")
+        if not head and not handle.read().strip("\n"):
+            raise ParseError("empty file", 1)
+        try:
+            n = int(head.strip())
+        except ValueError:
+            raise ParseError(f"expected an integer order, got {head!r}", 1) from None
+        if n < 1:
+            raise ParseError(f"order must be >= 1, got {n}", 1)
+        if n > max_order:
+            raise OrderOverflowError(n, max_order)
+        rows = handle.read().split("\n")
+    while rows and rows[-1] == "":
+        rows.pop()
+    if len(rows) != n:
         raise ParseError(
-            f"expected exactly {n} table rows, found {len(lines) - 1}",
-            min(len(lines), n + 2),
+            f"expected exactly {n} table rows, found {len(rows)}", min(len(rows) + 1, n + 2)
         )
+    # numpy parses each token as int() does, a row at a time; only on a
+    # failure or an out-of-range entry are the rows walked to locate it
+    table = np.empty((n, n), dtype=np.int64)
+    try:
+        for r, row in enumerate(rows):
+            tokens = row.split()
+            if len(tokens) != n:
+                raise ValueError
+            table[r] = tokens
+        parsed = table.min() >= 0 and table.max() < n
+    except (ValueError, OverflowError):
+        parsed = False
+    if not parsed:
+        table = _parse_rows(rows, n)
+    validate_table(table)
+    return Group(table)
+
+
+def _parse_rows(rows: list[str], n: int) -> np.ndarray:
+    """Token-by-token parse that raises a ParseError at the first bad entry."""
     table = np.zeros((n, n), dtype=np.int64)
-    for r in range(n):
+    for r, row in enumerate(rows):
         line_no = r + 2
-        tokens = lines[r + 1].split()
+        tokens = row.split()
         if len(tokens) != n:
             raise ParseError(f"expected {n} entries, found {len(tokens)}", line_no)
         for c, token in enumerate(tokens):
@@ -73,14 +103,13 @@ def read_cayley_table(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:
             if not 0 <= value < n:
                 raise ParseError(f"entry {value} out of range 0..{n - 1}", line_no, c + 1)
             table[r, c] = value
-    validate_table(table)
-    return Group(table)
+    return table
 
 
 def write_cayley_table(G: Group, path) -> None:
     """Write the exact text format read by :func:`read_cayley_table`."""
     rows = [str(G.order)]
-    rows.extend(" ".join(str(int(v)) for v in row) for row in G.table)
+    rows.extend(" ".join(map(str, row)) for row in G.table.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
 
@@ -122,23 +151,47 @@ def read_permutation_generators(path, max_order: int = DEFAULT_MAX_ORDER) -> Gro
     identity = tuple(range(degree))
     elements: list[tuple[int, ...]] = [identity]
     index: dict[tuple[int, ...], int] = {identity: 0}
+    right: list[list[int]] = []  # right[i][g]: index of elements[i] * generators[g]
+    parent, via, depth = [0], [0], [0]  # element j > 0 is elements[parent[j]] * generators[via[j]]
     cursor = 0
     while cursor < len(elements):
         current = elements[cursor]
-        cursor += 1
-        for gen in generators:
+        products = []
+        for g, gen in enumerate(generators):
             product = tuple(gen[i] for i in current)
-            if product not in index:
+            j = index.get(product)
+            if j is None:
                 if len(elements) >= max_order:
                     raise OrderOverflowError(len(elements) + 1, max_order)
-                index[product] = len(elements)
+                j = index[product] = len(elements)
                 elements.append(product)
-    n = len(elements)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = index[tuple(b[x] for x in a)]
-    return Group(table)
+                parent.append(cursor)
+                via.append(g)
+                depth.append(depth[cursor] + 1)
+            products.append(j)
+        right.append(products)
+        cursor += 1
+    return Group(_cayley_graph_table(right, parent, via, depth))
+
+
+def _cayley_graph_table(right, parent, via, depth) -> np.ndarray:
+    """Fill the multiplication table from the breadth-first Cayley graph.
+
+    Column 0 is the identity's.  For e_j = e_p * g, e_i * e_j = (e_i * e_p) * g,
+    so column j is ``right[column p, g]``: the columns of one depth are one
+    gather from those of the depth before.
+    """
+    n = len(right)
+    dtype = _index_dtype(n)
+    right = np.array(right, dtype=dtype)
+    parent = np.array(parent, dtype=np.intp)
+    via = np.array(via, dtype=np.intp)
+    bounds = [*np.flatnonzero(np.diff(depth)) + 1, n]
+    table = np.empty((n, n), dtype=dtype)
+    table[:, 0] = np.arange(n)
+    for start, stop in zip(bounds, bounds[1:]):
+        table[:, start:stop] = right[table[:, parent[start:stop]], via[start:stop]]
+    return table
 
 
 def load_catalogue(directory, max_order: int = DEFAULT_MAX_ORDER) -> list[CatalogueEntry]:

@@ -5,9 +5,14 @@ avoids the library's own code paths: subgroup enumeration closes the
 cyclic subgroups under undirected pairwise joins until a fixed point,
 element orders come from repeated multiplication, and totients are
 direct counts.  Slow but obviously correct; intended for small groups.
+The one exception is the associativity row sweep: it tests every triple
+too, but with numpy one row at a time, so that it stays quick at the
+orders (up to 64) that the validator is checked against it.
 """
 
 from math import gcd
+
+import numpy as np
 
 
 def naive_order(table, a):
@@ -100,3 +105,39 @@ def naive_is_associative(table):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     return False, (a, b, c)
     return True, None
+
+
+def row_sweep_associativity(table):
+    """Test all n^3 triples one row at a time; return the first (a, b, c)
+    with (a*b)*c != a*(b*c), or None when the table is associative."""
+    t = np.asarray(table, dtype=np.int64)
+    for a in range(len(t)):
+        left = t[t[a]]  # left[b, c] = (a*b)*c
+        right = t[a][t]  # right[b, c] = a*(b*c)
+        if not np.array_equal(left, right):
+            b, c = map(int, np.argwhere(left != right)[0])
+            return a, b, c
+    return None
+
+
+def naive_permutation_table(degree, gens):
+    """Cayley table of the permutation group that `gens` generate on
+    0..degree-1, composing "a then b": (a*b)(i) = b[a[i]].
+
+    Elements are numbered breadth-first from the identity (queue order,
+    then generator order), and every one of the n^2 products is formed as
+    a tuple and looked up in a dict.
+    """
+    identity = tuple(range(degree))
+    elements = [identity]
+    index = {identity: 0}
+    cursor = 0
+    while cursor < len(elements):
+        current = elements[cursor]
+        cursor += 1
+        for gen in gens:
+            product = tuple(gen[i] for i in current)
+            if product not in index:
+                index[product] = len(elements)
+                elements.append(product)
+    return [[index[tuple(b[x] for x in a)] for b in elements] for a in elements]

@@ -1,7 +1,9 @@
 """File ingestion: Cayley tables, permutation generators, report writing."""
 
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from grouptotient import (
@@ -27,7 +29,7 @@ from grouptotient import (
     write_cayley_table,
     write_report,
 )
-from naive_oracles import naive_is_associative
+from naive_oracles import naive_is_associative, naive_permutation_table
 
 # order-5 loop (Latin square with two-sided identity) that fails associativity
 NONASSOC_5 = """5
@@ -177,6 +179,103 @@ def test_permutation_order_overflow(tmp_path):
     path.write_text("5\n1 2 3 4 0\n1 0 2 3 4\n")  # generates all 120 permutations
     with pytest.raises(OrderOverflowError):
         read_permutation_generators(path, max_order=100)
+
+
+def _cycle(degree, points):
+    perm = list(range(degree))
+    for i, a in enumerate(points):
+        perm[a] = points[(i + 1) % len(points)]
+    return perm
+
+
+# id -> (degree, generators, order); PSL(2,7) acts on the projective line
+# over F_7 (point 7 is infinity) by x -> x + 1 and x -> -1/x, and Z2^4 acts
+# regularly on its 16 elements by XOR with each basis vector
+PERMUTATION_GROUPS = {
+    "a5": (5, [_cycle(5, [0, 1, 2, 3, 4]), _cycle(5, [0, 1, 2])], 60),
+    "a6": (6, [_cycle(6, [0, 1, 2]), _cycle(6, [1, 2, 3, 4, 5])], 360),
+    "s5": (5, [_cycle(5, [0, 1, 2, 3, 4]), _cycle(5, [0, 1])], 120),
+    "psl2_7": (8, [[1, 2, 3, 4, 5, 6, 0, 7], [7, 6, 3, 2, 5, 4, 1, 0]], 168),
+    "f21": (7, [[1, 2, 3, 4, 5, 6, 0], [0, 2, 4, 6, 1, 3, 5]], 21),
+    "s6": (6, [_cycle(6, [0, 1, 2, 3, 4, 5]), _cycle(6, [0, 1])], 720),
+    "z2_4_regular": (16, [[i ^ (1 << b) for i in range(16)] for b in range(4)], 16),
+}
+
+
+def _write_gens(path, degree, gens):
+    path.write_text(f"{degree}\n" + "\n".join(" ".join(map(str, g)) for g in gens) + "\n")
+
+
+@pytest.mark.parametrize("ident", sorted(PERMUTATION_GROUPS))
+def test_permutation_table_matches_naive_closure(tmp_path, ident):
+    degree, gens, order = PERMUTATION_GROUPS[ident]
+    path = tmp_path / f"{ident}.gens"
+    _write_gens(path, degree, gens)
+    G = read_permutation_generators(path)
+    assert G.order == order
+    assert G.table.dtype == (np.uint8 if order <= 256 else np.uint16)
+    assert G.table.tolist() == naive_permutation_table(degree, gens)
+
+
+def test_permutation_order_overflow_names_the_first_element_over_the_cap(tmp_path):
+    degree, gens, _ = PERMUTATION_GROUPS["s5"]
+    path = tmp_path / "s5.gens"
+    _write_gens(path, degree, gens)
+    with pytest.raises(OrderOverflowError) as info:
+        read_permutation_generators(path, max_order=119)
+    assert (info.value.order, info.value.cap) == (120, 119)
+    assert read_permutation_generators(path, max_order=120).order == 120
+
+
+def test_over_cap_cayley_is_refused_before_its_body_is_read(tmp_path):
+    path = tmp_path / "c600.cayley"
+    write_cayley_table(construct("cyclic:600"), path)  # about 1.3 MB of text
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderOverflowError) as info:
+            read_cayley_table(path, max_order=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.order, info.value.cap) == (600, 50)
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("token", ["+3", "-1", "1_0", "\u0663", "1.0", "0x1", ""])
+def test_numpy_parses_table_tokens_as_int_does(token):
+    """read_cayley_table parses rows with numpy and walks them with int()
+    only to locate an error, so both must accept and reject alike."""
+    try:
+        expected = int(token)
+    except ValueError:
+        expected = None
+    try:
+        got = int(np.array([token], dtype=np.int64)[0])
+    except ValueError:
+        got = None
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "token,col",
+    [("+4", None), ("0_4", None), ("\u0664", None), ("4.0", 4), ("0x4", 4), ("-4", 4), ("11", 4)],
+)
+def test_cayley_entry_tokens_parse_as_int_does(tmp_path, token, col):
+    """Entry (1, 3) of Z11 is 4: tokens that int() reads as 4 are accepted,
+    and every other token is a ParseError at line 3, column 4."""
+    rows = [[(a + b) % 11 for b in range(11)] for a in range(11)]
+    lines = [" ".join(map(str, row)) for row in rows]
+    tokens = lines[1].split()
+    tokens[3] = token
+    lines[1] = " ".join(tokens)
+    path = tmp_path / "z11.cayley"
+    path.write_text("11\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    if col is None:
+        assert read_cayley_table(path).table.tolist() == rows
+    else:
+        with pytest.raises(ParseError) as info:
+            read_cayley_table(path)
+        assert (info.value.line, info.value.col) == (3, col)
 
 
 def test_load_catalogue(tmp_path):

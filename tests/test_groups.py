@@ -10,6 +10,7 @@ from grouptotient import (
     IndexOutOfRangeError,
     InvalidParameterError,
     NotAbelianError,
+    NotAGroupError,
     OrderOverflowError,
     construct,
     direct_product,
@@ -50,6 +51,54 @@ ALL_FAMILY_SPECS = [
 def test_constructors_satisfy_group_axioms(spec):
     G = construct(spec)
     validate_table(np.asarray(G.table, dtype=np.int64))
+
+
+@pytest.mark.parametrize("spec", ["dihedral:500", "cyclic:1000"])
+def test_validate_table_accepts_order_1000(spec):
+    validate_table(construct(spec).table)
+
+
+def _assert_associativity_witness(table, err):
+    assert err.axiom == "associativity"
+    x, a, y = err.witness
+    assert table[table[x, a], y] != table[x, table[a, y]]
+
+
+def test_validate_table_rejects_one_flipped_intercalate_at_order_1000():
+    table = construct("cyclic:1000").table.astype(np.int64)
+    rows, cols = [1, 501], [2, 502]  # entries 3, 503 / 503, 3: an intercalate
+    table[np.ix_(rows, cols)] = table[np.ix_(rows, cols[::-1])]
+    with pytest.raises(NotAGroupError) as info:
+        validate_table(table)
+    _assert_associativity_witness(table, info.value)
+
+
+def test_validate_table_looks_past_an_associative_generator():
+    """Z2 x L for a non-associative loop L of order 5, indexed z + 2q.
+    The first greedy generator, 1 = (1, e), is associative and closes only
+    to {0, 1}, so the search must go on to a later generator."""
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    table = np.array(
+        [[(i % 2 ^ j % 2) + 2 * loop[i // 2][j // 2] for j in range(10)] for i in range(10)]
+    )
+    assert all(table[table[x, 1], y] == table[x, table[1, y]] for x in range(10) for y in range(10))
+    with pytest.raises(NotAGroupError) as info:
+        validate_table(table)
+    _assert_associativity_witness(table, info.value)
+    assert info.value.witness[1] != 1
+
+
+@pytest.mark.parametrize(
+    "rows,axiom,witness",
+    [
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "latin-square-row", (1, 0, 1)),
+        ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 2, 0, 1], [3, 0, 1, 2]], "latin-square-column", (1, 1, 2)),
+    ],
+)
+def test_validate_table_names_the_first_latin_square_failure(rows, axiom, witness):
+    with pytest.raises(NotAGroupError) as info:
+        validate_table(np.array(rows))
+    assert (info.value.axiom, info.value.witness) == (axiom, witness)
 
 
 def test_cyclic_table_is_addition_mod_n():

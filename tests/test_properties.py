@@ -19,7 +19,12 @@ from grouptotient import (
     validate_table,
     write_cayley_table,
 )
-from naive_oracles import naive_all_subgroups, naive_closure, naive_is_associative
+from naive_oracles import (
+    naive_all_subgroups,
+    naive_closure,
+    naive_is_associative,
+    row_sweep_associativity,
+)
 
 SMALL_SPECS = (
     [f"cyclic:{n}" for n in range(1, 25)]
@@ -154,6 +159,37 @@ def test_validator_agrees_with_naive_associativity(n, flips):
             assert err.axiom == "associativity"
             a, b, c = err.witness
             assert table[table[a, b], c] != table[a, table[b, c]]
+
+
+@given(
+    st.integers(12, 64),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(1, 63), st.integers(1, 63), st.integers(1, 63)), max_size=3),
+)
+@settings(deadline=None, max_examples=40)
+def test_light_test_agrees_with_the_row_sweep(n, dihedral, flips):
+    """Cyclic or dihedral tables of order 12..64 with up to three flipped
+    intercalates: Light's test accepts exactly the tables the O(n^3) row
+    sweep accepts, and every rejection names a failing triple."""
+    spec = f"dihedral:{n // 2}" if dihedral else f"cyclic:{n}"
+    table = construct(spec).table.astype(np.int64)
+    n = len(table)
+    for r1, r2, c1 in flips:
+        r1, r2, c1 = r1 % (n - 1) + 1, r2 % (n - 1) + 1, c1 % (n - 1) + 1
+        # the column that completes an intercalate on rows r1, r2 and column c1
+        c2 = int(np.flatnonzero(table[r2] == table[r1, c1])[0])
+        if r1 != r2 and c2 != c1 and table[r1, c2] == table[r2, c1]:
+            table[[r1, r1, r2, r2], [c1, c2, c1, c2]] = table[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+    if row_sweep_associativity(table) is None:
+        validate_table(table)
+    else:
+        try:
+            validate_table(table)
+            raise AssertionError("non-associative table accepted")
+        except NotAGroupError as err:
+            assert err.axiom == "associativity"
+            x, a, y = err.witness
+            assert table[table[x, a], y] != table[x, table[a, y]]
 
 
 @given(st.integers(2, 12))
