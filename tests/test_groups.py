@@ -79,7 +79,7 @@ def test_validate_table_looks_past_an_associative_generator():
     to {0, 1}, so the search must go on to a later generator."""
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
     table = np.array(
-        [[(i % 2 ^ j % 2) + 2 * loop[i // 2][j // 2] for j in range(10)] for i in range(10)]
+        [[((i % 2) ^ (j % 2)) + 2 * loop[i // 2][j // 2] for j in range(10)] for i in range(10)]
     )
     assert all(table[table[x, 1], y] == table[x, table[1, y]] for x in range(10) for y in range(10))
     with pytest.raises(NotAGroupError) as info:
@@ -91,7 +91,9 @@ def test_validate_table_looks_past_an_associative_generator():
 @pytest.mark.parametrize(
     "rows,axiom,witness",
     [
+        # row 1 and column 1 both repeat: the row is named first
         ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "latin-square-row", (1, 0, 1)),
+        # column 1 and row 2 both repeat: the lower index is named first
         ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 2, 0, 1], [3, 0, 1, 2]], "latin-square-column", (1, 1, 2)),
     ],
 )

@@ -176,9 +176,10 @@ def test_light_test_agrees_with_the_row_sweep(n, dihedral, flips):
     n = len(table)
     for r1, r2, c1 in flips:
         r1, r2, c1 = r1 % (n - 1) + 1, r2 % (n - 1) + 1, c1 % (n - 1) + 1
-        # the column that completes an intercalate on rows r1, r2 and column c1
+        # the column that completes an intercalate on rows r1, r2 and column
+        # c1; column 0 must stay the identity's
         c2 = int(np.flatnonzero(table[r2] == table[r1, c1])[0])
-        if r1 != r2 and c2 != c1 and table[r1, c2] == table[r2, c1]:
+        if r1 != r2 and c2 not in (0, c1) and table[r1, c2] == table[r2, c1]:
             table[[r1, r1, r2, r2], [c1, c2, c1, c2]] = table[[r1, r1, r2, r2], [c2, c1, c2, c1]]
     if row_sweep_associativity(table) is None:
         validate_table(table)
