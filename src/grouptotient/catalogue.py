@@ -48,7 +48,8 @@ class CatalogueEntry:
 
 def read_cayley_table(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Parse and fully validate a Cayley-table file; an order above
-    `max_order` is refused after reading line 1 alone."""
+    `max_order` is refused after reading line 1 alone.  The body is read
+    one line at a time into a table already in the group's index dtype."""
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
         head = first.removesuffix("\n")
@@ -62,27 +63,31 @@ def read_cayley_table(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:
             raise ParseError(f"order must be >= 1, got {n}", 1)
         if n > max_order:
             raise OrderOverflowError(n, max_order)
-        rows = handle.read().split("\n")
-    while rows and rows[-1] == "":
-        rows.pop()
-    if len(rows) != n:
-        raise ParseError(
-            f"expected exactly {n} table rows, found {len(rows)}", min(len(rows) + 1, n + 2)
-        )
-    # numpy parses each token as int() does, a row at a time; only on a
-    # failure or an out-of-range entry are the rows walked to locate it
-    table = np.empty((n, n), dtype=np.int64)
-    try:
-        for r, row in enumerate(rows):
-            tokens = row.split()
-            if len(tokens) != n:
-                raise ValueError
-            table[r] = tokens
-        parsed = table.min() >= 0 and table.max() < n
-    except (ValueError, OverflowError):
-        parsed = False
+        # numpy parses each token as int() does, a row at a time; only on a
+        # failure or an out-of-range entry is the file read again to locate it
+        table = np.empty((n, n), dtype=_index_dtype(n))
+        row = np.empty(n, dtype=np.int64)
+        parsed = True
+        lines = rows = 0  # rows: the lines up to the last non-empty one
+        for line in handle:
+            line = line.removesuffix("\n")
+            if parsed and lines < n:
+                tokens = line.split()
+                try:
+                    row[:] = tokens
+                except (ValueError, OverflowError):
+                    parsed = False
+                # a single token would fill the whole row; as unsigned, a
+                # negative entry is above n too
+                parsed = parsed and len(tokens) == n and row.view(np.uint64).max() < n
+                table[lines] = row
+            lines += 1
+            if line:
+                rows = lines
+    if rows != n:
+        raise ParseError(f"expected exactly {n} table rows, found {rows}", min(rows + 1, n + 2))
     if not parsed:
-        table = _parse_rows(rows, n)
+        table = _parse_rows(_read_lines(path)[1:], n)
     validate_table(table)
     return Group(table)
 

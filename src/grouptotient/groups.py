@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -138,10 +139,11 @@ class Group:
 
     ``table[a][b]`` is the index of a*b; index 0 is the identity.
     Instances are immutable after construction and safe to share across
-    threads; derived data (inverses, element orders) is cached lazily.
+    threads; derived data (inverses, the cyclic-subgroup walk, element
+    orders) is cached lazily.
     """
 
-    __slots__ = ("order", "table", "spec", "_inverse", "_orders", "_abelian")
+    __slots__ = ("order", "table", "spec", "_inverse", "_least", "_orders", "_abelian")
 
     def __init__(self, table: np.ndarray, spec: GroupSpec | None = None):
         table = np.ascontiguousarray(table)
@@ -155,6 +157,7 @@ class Group:
         self.table.setflags(write=False)
         self.spec = spec
         self._inverse = None
+        self._least = None
         self._orders = None
         self._abelian = None
 
@@ -200,22 +203,24 @@ class Group:
             k += 1
         return k
 
+    def least_generators(self) -> dict[int, list[int]]:
+        """The least generator of each cyclic subgroup, mapped to its powers
+        (see :func:`_least_generators`); walked once per group."""
+        if self._least is None:
+            self._least = _least_generators(self.table)
+        return self._least
+
     def element_orders(self) -> np.ndarray:
-        """Orders of all elements, as one vectorized sweep over power maps."""
+        """Orders of all elements, read off the least-generator walk: for a
+        least generator a of order m, the power a^k has order m / gcd(k, m)."""
         if self._orders is None:
-            n = self.order
-            orders = np.zeros(n, dtype=np.int64)
-            orders[0] = 1
-            alive = np.flatnonzero(orders == 0)
-            cur = alive.copy()
-            k = 1
-            while alive.size:
-                k += 1
-                cur = self.table[cur, alive].astype(np.int64)
-                done = cur == 0
-                orders[alive[done]] = k
-                alive = alive[~done]
-                cur = cur[~done]
+            walks = self.least_generators().values()
+            lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
+            powers = np.fromiter(chain.from_iterable(walks), dtype=np.int64, count=int(lengths.sum()))
+            m = np.repeat(lengths, lengths)
+            k = np.arange(1, len(powers) + 1) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            orders = np.empty(self.order, dtype=np.int64)
+            orders[powers] = m // np.gcd(k, m)
             orders.setflags(write=False)
             self._orders = orders
         return self._orders
@@ -271,6 +276,29 @@ class Group:
     def _check_index(self, a: int) -> None:
         if not 0 <= a < self.order:
             raise IndexOutOfRangeError(f"element index {a} not in 0..{self.order - 1}")
+
+
+def _least_generators(table: np.ndarray) -> dict[int, list[int]]:
+    """Map the least generator a of each cyclic subgroup to its powers
+    a, a^2, ..., a^m = identity, in increasing order of a.
+
+    The first element not yet marked is the least generator of its cyclic
+    subgroup; one walk of its powers marks every generator a^k with
+    gcd(k, m) = 1, so each distinct cyclic subgroup is walked once.
+    """
+    marked = np.zeros(len(table), dtype=bool)
+    out: dict[int, list[int]] = {}
+    for a in range(len(table)):
+        if marked[a]:
+            continue
+        x, powers = a, [a]
+        while x != 0:
+            x = int(table[x, a])
+            powers.append(x)
+        m = len(powers)
+        marked[[x for k, x in enumerate(powers, 1) if math.gcd(k, m) == 1]] = True
+        out[a] = powers
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,30 @@ Extending each discovered subgroup H only by elements a that are
 discovers each subgroup exactly once.  This reaches the same fixed
 point as pairwise join closure but stays linear in the lattice size.
 
+Most joins that would be abandoned are never started: every part of
+<H, a> outside H must have its minimum >= a, and the sweep already holds
+each right coset's minimum, so before joining it also requires
+
+  * min(H*a^-1) >= a (a^-1 lies outside H because a does),
+  * a^2 in H or min(H*a^2) >= a, and
+  * in non-abelian groups, min(HaH) = a, where min(HaH) is the least
+    min(H*a*h) over h in H (in abelian groups HaH = H*a).
+
+These are necessary conditions only; the join's bound stays the complete
+test, so they remove joins but never change what is found.  On A6 the
+sweep runs 818 joins and abandons 318 (3,997 and 3,497 with the H*a test
+alone).
+
 The search sweeps one subgroup order at a time, smallest first; as
 children outgrow their parents and chains are unique, the sweep order
 changes nothing found.  Each level's members form one matrix, swept in
 chunks of _BATCH_LIMIT gathered table entries: abelian index-2 steps
 (a^2 in H, so <H, a> = H u H*a) are built per chunk, other candidates
 are joined one by one, and subgroups too large for a chunk scan their
-cosets one at a time.  One lexsort per level gives the canonical order.
+cosets one at a time (from |H| * |G| > _BATCH_LIMIT = 2^18, first above
+order 724 when |H| = |G| / 2; this scan tests H*a^-1 and H*a^2 per coset
+but not HaH, which would gather |H|^2 entries).  One lexsort per level
+gives the canonical order.
 The same pass counts each subgroup's totient and keeps the vector on the
 lattice, for every Gauss sum to read.  The rank-8 elementary abelian group
 (417199 subgroups) takes 2-4 s, totients included, on a 2-vCPU Xeon host.
@@ -37,8 +54,6 @@ containment query is a `Lattice.contained_in` row test over the levels.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import (
@@ -48,7 +63,7 @@ from .errors import (
     NotNormalError,
     NotPrimePowerError,
 )
-from .groups import Group
+from .groups import Group, _least_generators  # noqa: F401  (kept importable from here)
 from .numtheory import factorize, integer_log, prime_power, valuation
 
 DEFAULT_MAX_SUBGROUPS = 200000
@@ -144,33 +159,10 @@ class Lattice:
         return np.concatenate([inside[level].all(axis=1) for level in self.levels.values()])
 
 
-def _least_generators(table: np.ndarray) -> dict[int, list[int]]:
-    """Map the least generator a of each cyclic subgroup to its powers
-    a, a^2, ..., a^m = identity, in increasing order of a.
-
-    The first element not yet marked is the least generator of its cyclic
-    subgroup; one walk of its powers marks every generator a^k with
-    gcd(k, m) = 1, so each distinct cyclic subgroup is walked once.
-    """
-    marked = np.zeros(len(table), dtype=bool)
-    out: dict[int, list[int]] = {}
-    for a in range(len(table)):
-        if marked[a]:
-            continue
-        x, powers = a, [a]
-        while x != 0:
-            x = int(table[x, a])
-            powers.append(x)
-        m = len(powers)
-        marked[[x for k, x in enumerate(powers, 1) if math.gcd(k, m) == 1]] = True
-        out[a] = powers
-    return out
-
-
 def cyclic_subgroups(G: Group) -> list[Subgroup]:
     """All subgroups <a> for a in G, deduplicated and canonically ordered."""
     subs = []
-    for a, powers in _least_generators(G.table).items():
+    for a, powers in G.least_generators().items():
         arr = np.array(sorted(powers), dtype=G.table.dtype)
         subs.append(Subgroup(G, arr))
     return sorted(subs, key=Subgroup.sort_key)
@@ -209,9 +201,14 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     # keys[b] = b when b is the least generator of <b>, else -1: b is a
     # candidate exactly when min(H*b) == keys[b]
     keys = np.full(n, -1, dtype=np.int64)
-    least = list(_least_generators(table))
+    walks = G.least_generators()
+    least = list(walks)
     keys[least] = least
     squares = np.diagonal(table)
+    # inverses of the least generators, the only ones read: a^-1 = a^(m-1), the
+    # power before the identity (the walk of the identity, first, is [0])
+    inverses = np.zeros(n, dtype=np.int64)
+    inverses[least[1:]] = [powers[-2] for powers in list(walks.values())[1:]]
     columns = np.arange(n)
     scratch = np.zeros(n, dtype=bool)
     # order -> (member blocks, chains) of the subgroups found so far
@@ -259,8 +256,10 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                 while a := int(covered.argmin()):
                     coset = table[members, a]
                     covered[coset] = True
-                    if int(coset.min()) == keys[a]:
-                        join(members, chain, a, coset)
+                    if int(coset.min()) == keys[a] and int(table[members, inverses[a]].min()) >= a:
+                        square = int(table[members, squares[a]].min())  # H*a^2, as in the sweep below
+                        if square == 0 or square >= a:
+                            join(members, chain, a, coset)
             continue
         lasts = np.array([chain[-1] if chain else 0 for chain in chains])
         for start in range(0, len(level), rows):
@@ -270,8 +269,13 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
             # minima[r, x] = min(H_r * x), which is 0 exactly for x in H_r
             minima = cosets.min(axis=1)
             r, a = np.nonzero((minima == keys) & (columns > lasts[start : start + rows, None]))
+            # a is canonical only if no part of <H, a> outside H lies below it:
+            # not H*a^-1, not H*a^2 unless a^2 is in H, and not the double coset HaH
+            square = minima[r, squares[a]]
+            keep = (minima[r, inverses[a]] >= a) & ((square == 0) | (square >= a))
+            r, a, square = r[keep], a[keep], square[keep]
             if abelian:
-                step = minima[r, squares[a]] == 0
+                step = square == 0
                 if step.any():
                     # index-2 step: a^2 in H, so <H, a> = H u H*a, and a = min(H*a) already
                     rs, bs = r[step], a[step]
@@ -280,6 +284,10 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                         [chains[start + i] + (b,) for i, b in zip(rs.tolist(), bs.tolist())],
                     )
                 r, a = r[~step], a[~step]
+            else:
+                # HaH = H*a when abelian; otherwise min(HaH) is the least min(H*a*h), h in H
+                keep = minima[r[:, None], table[a[:, None], block[r]]].min(axis=1) >= a
+                r, a = r[keep], a[keep]
             for i, b in zip(r.tolist(), a.tolist()):
                 join(block[i], chains[start + i], b, cosets[i, :, b])
 

@@ -5,11 +5,15 @@ avoids the library's own code paths: subgroup enumeration closes the
 cyclic subgroups under undirected pairwise joins until a fixed point,
 element orders come from repeated multiplication, and totients are
 direct counts.  Slow but obviously correct; intended for small groups.
-The one exception is the associativity row sweep: it tests every triple
-too, but with numpy one row at a time, so that it stays quick at the
-orders (up to 64) that the validator is checked against it.
+Three helpers use numpy.  The associativity row sweep tests every triple
+too, but one row at a time, so that it stays quick at the orders (up to
+64) that the validator is checked against it.  The power-map sweep finds
+element orders by raising every element to successive powers at once, so
+it can check orders at the thousands.  `relabel` renames elements to
+draw new tables of a known group.
 """
 
+import random
 from math import gcd
 
 import numpy as np
@@ -25,6 +29,36 @@ def naive_order(table, a):
 
 def naive_orders(table):
     return [naive_order(table, a) for a in range(len(table))]
+
+
+def power_map_orders(table):
+    """Element orders (int64) by one sweep over power maps: step k forms
+    x^k for every x whose order is still unknown, so it costs O(n * exponent)."""
+    table = np.asarray(table)
+    orders = np.zeros(len(table), dtype=np.int64)
+    orders[0] = 1
+    alive = np.arange(1, len(table))
+    current = alive.copy()
+    k = 1
+    while alive.size:
+        k += 1
+        current = table[current, alive].astype(np.int64)
+        done = current == 0
+        orders[alive[done]] = k
+        alive, current = alive[~done], current[~done]
+    return orders
+
+
+def relabel(table, seed):
+    """The table of the same group with its non-identity elements renamed
+    by a random permutation (the identity stays at 0)."""
+    table = np.asarray(table, dtype=np.int64)
+    rest = list(range(1, len(table)))
+    random.Random(seed).shuffle(rest)
+    pi = np.array([0] + rest)
+    new = np.empty_like(table)
+    new[pi[:, None], pi[None, :]] = pi[table]
+    return new
 
 
 def naive_exponent(table):

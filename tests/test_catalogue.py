@@ -241,6 +241,58 @@ def test_over_cap_cayley_is_refused_before_its_body_is_read(tmp_path):
     assert peak < 64 * 1024
 
 
+def test_cayley_body_is_read_into_an_index_dtype_table(tmp_path):
+    """The body is parsed line by line straight into the uint16 table: the
+    traced peak stays under five tables (dihedral:500 at order 1000: 7.7 MiB
+    for a 1.9 MiB table); holding the whole text and an int64 parse table,
+    it was ten."""
+    G = construct("dihedral:150")
+    path = tmp_path / "d150.cayley"
+    write_cayley_table(G, path)
+    tracemalloc.start()
+    try:
+        back = read_cayley_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.table.dtype == G.table.dtype == np.uint16
+    assert np.array_equal(back.table, G.table)
+    assert peak < 5 * G.table.nbytes
+
+
+@pytest.mark.parametrize("token", ["-1", "256", "-256"])
+def test_out_of_range_entries_at_the_edge_of_uint8(tmp_path, token):
+    """Order 256 fills every uint8 value, so an entry out of range must be
+    caught before it is narrowed; it is a ParseError at its line and column."""
+    G = construct("cyclic:256")
+    path = tmp_path / "c256.cayley"
+    write_cayley_table(G, path)
+    lines = path.read_text().split("\n")
+    tokens = lines[5].split()
+    tokens[7] = token
+    lines[5] = " ".join(tokens)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as info:
+        read_cayley_table(path)
+    assert (info.value.line, info.value.col) == (6, 8)
+
+
+@pytest.mark.parametrize(
+    "content,line",
+    [("3\n0 1 2\n\n2 0 1\n", 3), ("2\n0 1\n1 0\n\n\n", None), ("2\n0 1\n\n1 0\n", 4), ("2\n0 1\n1 0\n \n", 4)],
+)
+def test_blank_body_lines(tmp_path, content, line):
+    """Trailing empty lines are dropped; any other blank line is a row."""
+    path = tmp_path / "blank.cayley"
+    path.write_text(content)
+    if line is None:
+        assert read_cayley_table(path).table.tolist() == [[0, 1], [1, 0]]
+    else:
+        with pytest.raises(ParseError) as info:
+            read_cayley_table(path)
+        assert info.value.line == line
+
+
 @pytest.mark.parametrize("token", ["+3", "-1", "1_0", "\u0663", "1.0", "0x1", ""])
 def test_numpy_parses_table_tokens_as_int_does(token):
     """read_cayley_table parses rows with numpy and walks them with int()

@@ -18,7 +18,7 @@ from grouptotient import (
     validate_table,
 )
 from grouptotient.numtheory import integer_log
-from naive_oracles import naive_orders
+from naive_oracles import naive_orders, power_map_orders, relabel
 
 ALL_FAMILY_SPECS = [
     "cyclic:1",
@@ -143,6 +143,21 @@ def test_element_order_matches_naive_oracle():
     for spec in ("dihedral:6", "quaternion:16", "heisenberg:3", "sdp:7,3,2"):
         G = construct(spec)
         assert G.element_orders().tolist() == naive_orders(G.table.tolist())
+
+
+def test_element_orders_match_the_power_map_sweep():
+    """Orders read off the least-generator walk equal the power-map sweep on
+    relabelled tables, on a large exponent and on many small cyclic subgroups."""
+    groups = [
+        Group(relabel(construct(spec).table, seed))
+        for spec in ("dihedral:12", "sdp:7,3,2", "quaternion:16", "heisenberg:3", "abelian:2,4,8")
+        for seed in range(3)
+    ]
+    groups += [construct("dihedral:1000"), construct("abelian:2,2,2,2,2,2,2,2")]
+    for G in groups:
+        orders = G.element_orders()
+        assert orders.dtype == np.int64 and not orders.flags.writeable
+        assert np.array_equal(orders, power_map_orders(G.table)), G
 
 
 def test_element_order_divides_group_order():

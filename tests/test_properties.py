@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouptotient import (
+    Group,
     GroupSpec,
     IdentityNotZeroError,
     NotAGroupError,
@@ -23,6 +24,8 @@ from naive_oracles import (
     naive_all_subgroups,
     naive_closure,
     naive_is_associative,
+    naive_permutation_table,
+    relabel,
     row_sweep_associativity,
 )
 
@@ -68,6 +71,24 @@ def test_exponent_and_order_statistics(spec):
     for d in set(orders):
         assert orders.count(d) % euler_phi(d) == 0
     assert G.is_cyclic() == (exp == G.order and G.order in orders or G.order == 1)
+
+
+# every non-abelian group of order <= 24 that a spec builds, plus A4 and S4
+NONABELIAN_TABLES = [
+    construct(s).table for s in SMALL_SPECS if construct(s).order <= 24 and not construct(s).is_abelian()
+] + [
+    np.array(naive_permutation_table(4, [(1, 2, 0, 3), (1, 0, 3, 2)])),
+    np.array(naive_permutation_table(4, [(1, 2, 3, 0), (1, 0, 2, 3)])),
+]
+
+
+@given(st.sampled_from(NONABELIAN_TABLES), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=40)
+def test_lattice_matches_naive_on_relabelled_nonabelian_tables(table, seed):
+    """The candidate tests compare coset minima, so they depend on the labels."""
+    relabelled = relabel(table, seed)
+    got = {frozenset(int(m) for m in H.members) for H in all_subgroups(Group(relabelled)).subgroups}
+    assert got == naive_all_subgroups(relabelled.tolist())
 
 
 @given(st.sampled_from(TINY_SPECS))
