@@ -28,21 +28,26 @@ each right coset's minimum, so before joining it also requires
   * in non-abelian groups, min(HaH) = a, where min(HaH) is the least
     min(H*a*h) over h in H (in abelian groups HaH = H*a).
 
-These are necessary conditions only; the join's bound stays the complete
-test, so they remove joins but never change what is found.  On A6 the
-sweep runs 818 joins and abandons 318 (3,997 and 3,497 with the H*a test
+These are necessary conditions only; the join stays the complete test,
+so they remove joins but never change what is found.  On A6 the sweep
+runs 818 joins and abandons 318 (3,997 and 3,497 with the H*a test
 alone).
 
 The search sweeps one subgroup order at a time, smallest first; as
 children outgrow their parents and chains are unique, the sweep order
 changes nothing found.  Each level's members form one matrix, swept in
-chunks of _BATCH_LIMIT gathered table entries: abelian index-2 steps
-(a^2 in H, so <H, a> = H u H*a) are built per chunk, other candidates
-are joined one by one, and subgroups too large for a chunk scan their
-cosets one at a time (from |H| * |G| > _BATCH_LIMIT = 2^18, first above
-order 724 when |H| = |G| / 2; this scan tests H*a^-1 and H*a^2 per coset
-but not HaH, which would gather |H|^2 entries).  One lexsort per level
-gives the canonical order.
+chunks, and each chunk yields the right-coset minima
+minima[r, x] = min(H_r*x): as table[block].min(axis=1) for chunks of up
+to _BATCH_LIMIT gathered entries, or, for a subgroup too large for one
+(|H| * |G| > _BATCH_LIMIT = 2^18, first above order 724 when
+|H| = |G| / 2), by walking its cosets one at a time, which costs n
+gathered entries, not |H| * n.  Both hand the same rows to the same
+filters and joins.  Abelian index-2 steps (a^2 in H, so <H, a> =
+H u H*a) are built per chunk; other candidates are joined one by one,
+by a breadth-first walk over coset names: a right coset is named by its
+minimum and (H*x)*s = H*(x*s), so the coset reached from H*x by a
+generator s is minima[r, x*s], and members are gathered only for a join
+that succeeds.  One lexsort per level gives the canonical order.
 The same pass counts each subgroup's totient and keeps the vector on the
 lattice, for every Gauss sum to read.  The rank-8 elementary abelian group
 (417199 subgroups) takes 2-4 s, totients included, on a 2-vCPU Xeon host.
@@ -50,6 +55,8 @@ lattice, for every Gauss sum to read.  The rank-8 elementary abelian group
 The lattice keeps these level matrices and the totient vector; Subgroup
 objects are built on first read, so summaries never build one, and every
 containment query is a `Lattice.contained_in` row test over the levels.
+`generated_subgroup` does not join cosets: it closes its seed under
+products, the closure that Light's associativity test also uses.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from .errors import (
     NotNormalError,
     NotPrimePowerError,
 )
-from .groups import Group, _least_generators  # noqa: F401  (kept importable from here)
+from .groups import Group, _close_under_products
 from .numtheory import factorize, integer_log, prime_power, valuation
 
 DEFAULT_MAX_SUBGROUPS = 200000
@@ -103,15 +110,6 @@ class Subgroup:
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
-    def as_group(self) -> Group:
-        """The induced group on this subgroup's members, re-indexed with
-        identity first (members are sorted, and member 0 is the identity)."""
-        parent = self.parent
-        lut = np.zeros(parent.order, dtype=np.int64)
-        lut[self.members] = np.arange(self.order)
-        sub = lut[parent.table[np.ix_(self.members, self.members)]]
-        return Group(sub)
-
     def sort_key(self) -> tuple:
         return (self.order, np.asarray(self.members, dtype=">u4").tobytes())
 
@@ -142,12 +140,6 @@ class Lattice:
     def __iter__(self):
         return iter(self.subgroups)
 
-    def whole_group(self) -> Subgroup:
-        return self.subgroups[-1]
-
-    def trivial(self) -> Subgroup:
-        return self.subgroups[0]
-
     def of_order(self, k: int) -> list[Subgroup]:
         """The subgroups of order k in canonical order, built from their level alone."""
         return [Subgroup(self.group, row) for row in self.levels.get(k, ())]
@@ -169,26 +161,23 @@ def cyclic_subgroups(G: Group) -> list[Subgroup]:
 
 
 def generated_subgroup(G: Group, seed) -> Subgroup:
-    """Smallest subgroup containing `seed`, its elements joined one at a time
-    (no element lies below bound 0, so no join is abandoned)."""
+    """Smallest subgroup containing `seed`: {0} closed under products with
+    each seed element in turn (in a finite group a set closed under
+    products is a subgroup)."""
     n = G.order
-    table = G.table
     seed = sorted(set(int(a) for a in seed))
     for a in seed:
         if not 0 <= a < n:
             raise IndexOutOfRangeError(f"seed index {a} not in 0..{n - 1}")
-    abelian = G.is_abelian()
-    members, gens = np.zeros(1, dtype=np.int64), ()
+    closed = np.zeros(n, dtype=bool)
+    closed[0] = True
     for a in seed:
-        if a not in members:  # each join at least doubles |H|, so at most log2 |G| run
-            members = _join_with_element(
-                table, members, gens, a, table[members, a], abelian, np.zeros(n, bool), bound=0
-            )
-            gens += (a,)
-    return Subgroup(G, members.astype(table.dtype))
+        if not closed[a]:
+            _close_under_products(G.table, closed, a)
+    return Subgroup(G, np.flatnonzero(closed).astype(G.table.dtype))
 
 
-_BATCH_LIMIT = 1 << 18  # elements of table[members] gathered per chunk; 0 forces the coset scan
+_BATCH_LIMIT = 1 << 18  # elements of table[members] gathered per chunk; 0 forces the coset walk
 
 
 def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Lattice:
@@ -210,7 +199,6 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     inverses = np.zeros(n, dtype=np.int64)
     inverses[least[1:]] = [powers[-2] for powers in list(walks.values())[1:]]
     columns = np.arange(n)
-    scratch = np.zeros(n, dtype=bool)
     # order -> (member blocks, chains) of the subgroups found so far
     pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [()])}
     found = 1
@@ -227,11 +215,6 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
         level[0].append(block)
         level[1].extend(chains)
 
-    def join(members, chain, a, coset):
-        joined = _join_with_element(table, members, chain, a, coset, abelian, scratch, bound=a)
-        if joined is not None:  # None: a is not the least new element of the join
-            accept(joined.astype(table.dtype)[None, :], [chain + (a,)])
-
     while pending:
         m = min(pending)
         blocks, chains = pending.pop(m)
@@ -247,28 +230,13 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
             orders = element_orders[level[start : start + per_block]]
             totients.append(np.count_nonzero(orders == np.lcm.reduce(orders, axis=1)[:, None], axis=1))
         rows = _BATCH_LIMIT // (m * n)
-        if rows == 0:
-            # one right coset H*a at a time, a its least element past the chain
-            for members, chain in zip(level, chains):
-                covered = columns <= (chain[-1] if chain else 0)
-                covered[members] = True
-                # the identity is always covered, so argmin is 0 once all are
-                while a := int(covered.argmin()):
-                    coset = table[members, a]
-                    covered[coset] = True
-                    if int(coset.min()) == keys[a] and int(table[members, inverses[a]].min()) >= a:
-                        square = int(table[members, squares[a]].min())  # H*a^2, as in the sweep below
-                        if square == 0 or square >= a:
-                            join(members, chain, a, coset)
-            continue
         lasts = np.array([chain[-1] if chain else 0 for chain in chains])
-        for start in range(0, len(level), rows):
-            block = level[start : start + rows]
-            # cosets[r, i, b] = h_i * b, so cosets[r, :, b] is the right coset H_r * b
-            cosets = table[block]
-            # minima[r, x] = min(H_r * x), which is 0 exactly for x in H_r
-            minima = cosets.min(axis=1)
-            r, a = np.nonzero((minima == keys) & (columns > lasts[start : start + rows, None]))
+        for start in range(0, len(level), max(rows, 1)):
+            block = level[start : start + max(rows, 1)]
+            # minima[r, x] = min(H_r * x), which is 0 exactly for x in H_r: a
+            # chunk gathers table[block] whole, a subgroup too large for one walks its cosets
+            minima = table[block].min(axis=1) if rows else _coset_minima(table, block[0])[None, :]
+            r, a = np.nonzero((minima == keys) & (columns > lasts[start : start + len(block), None]))
             # a is canonical only if no part of <H, a> outside H lies below it:
             # not H*a^-1, not H*a^2 unless a^2 is in H, and not the double coset HaH
             square = minima[r, squares[a]]
@@ -280,7 +248,7 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                     # index-2 step: a^2 in H, so <H, a> = H u H*a, and a = min(H*a) already
                     rs, bs = r[step], a[step]
                     accept(
-                        np.sort(np.concatenate([block[rs], cosets[rs, :, bs]], axis=1), axis=1),
+                        np.sort(np.concatenate([block[rs], table[block[rs], bs[:, None]]], axis=1), axis=1),
                         [chains[start + i] + (b,) for i, b in zip(rs.tolist(), bs.tolist())],
                     )
                 r, a = r[~step], a[~step]
@@ -289,38 +257,48 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                 keep = minima[r[:, None], table[a[:, None], block[r]]].min(axis=1) >= a
                 r, a = r[keep], a[keep]
             for i, b in zip(r.tolist(), a.tolist()):
-                join(block[i], chains[start + i], b, cosets[i, :, b])
+                chain = chains[start + i]
+                joined = _join_with_element(table, minima[i], chain, b, abelian)
+                if joined is not None:  # None: b is not the least new element of the join
+                    accept(joined.astype(table.dtype)[None, :], [chain + (b,)])
 
     return Lattice(G, levels, np.concatenate(totients).astype(np.int64))
 
 
-def _join_with_element(table, members, gens, a, first_coset, abelian, scratch, bound):
-    """Sorted members of <H, a> given H's members and a generating set for
-    H; None as soon as a coset added after the first holds an element
-    below `bound`.
+def _coset_minima(table, members):
+    """min(H*x) for every x, one right coset at a time: n gathered entries,
+    where table[members].min(axis=0) gathers |H| * n."""
+    row = np.full(len(table), -1, dtype=np.int64)
+    x = 0
+    while row[x] < 0:  # the identity's coset H is named 0, so argmin is 0 once all are
+        row[table[members, x]] = x
+        x = int(row.argmin())
+    return row
 
-    Dimino-style coset closure: right cosets H*r are added until the union
-    is closed under the generators.  In abelian groups H<a> is the union
-    of the cosets H*a^k, so a alone is enough.
+
+def _join_with_element(table, minima, gens, a, abelian):
+    """Sorted members of <H, a>, given minima[x] = min(H*x) and a generating
+    set for H; None as soon as a coset added after H*a has its minimum below a.
+
+    Dimino-style coset closure over coset names: a right coset is named by
+    its minimum, and (H*x)*s = H*(x*s), so cosets are added until the
+    named ones are closed under the generators, and members are gathered
+    only for a join that succeeds.  In abelian groups H<a> is the union of
+    the cosets H*a^k, so a alone is enough.
     """
-    scratch[:] = False
-    scratch[members] = True
-    scratch[first_coset] = True
-    new_gens = (a,) if abelian else gens + (a,)
-    reps = [a]
-    qi = 0
-    while qi < len(reps):
-        row = table[reps[qi]]
-        qi += 1
-        for s in new_gens:
-            nxt = int(row[s])
-            if not scratch[nxt]:
-                coset = table[members, nxt]
-                if int(coset.min()) < bound:
+    gens = [a] if abelian else [*gens, a]
+    seen = {0, a}
+    names = [a]
+    for x in names:  # breadth first: names grows while it is read
+        for c in minima.take(table[x].take(gens)).tolist():
+            if c not in seen:
+                if c < a:
                     return None
-                scratch[coset] = True
-                reps.append(nxt)
-    return np.flatnonzero(scratch)
+                seen.add(c)
+                names.append(c)
+    inside = np.zeros(len(table), dtype=bool)
+    inside[[0, *names]] = True
+    return np.flatnonzero(inside[minima])
 
 
 def maximal_subgroups(L: Lattice) -> list[Subgroup]:

@@ -10,13 +10,16 @@ too, but one row at a time, so that it stays quick at the orders (up to
 64) that the validator is checked against it.  The power-map sweep finds
 element orders by raising every element to successive powers at once, so
 it can check orders at the thousands.  `relabel` renames elements to
-draw new tables of a known group.
+draw new tables of a known group.  `as_group` is the one helper that
+builds a library object: the induced group on a subgroup's members.
 """
 
 import random
 from math import gcd
 
 import numpy as np
+
+from grouptotient import Group
 
 
 def naive_order(table, a):
@@ -59,6 +62,15 @@ def relabel(table, seed):
     new = np.empty_like(table)
     new[pi[:, None], pi[None, :]] = pi[table]
     return new
+
+
+def as_group(H):
+    """The induced group on the subgroup H's members, re-indexed with the
+    identity first (members are sorted, and member 0 is the identity)."""
+    parent = H.parent
+    lut = np.zeros(parent.order, dtype=np.int64)
+    lut[H.members] = np.arange(H.order)
+    return Group(lut[parent.table[np.ix_(H.members, H.members)]])
 
 
 def naive_exponent(table):

@@ -26,7 +26,7 @@ from grouptotient import (
     sylow_subgroups,
 )
 from grouptotient.cli import main
-from naive_oracles import naive_all_subgroups, naive_cyclic_subgroups
+from naive_oracles import as_group, naive_all_subgroups, naive_cyclic_subgroups
 from test_lattice_batching import _bits
 
 ORACLE_SPECS = [
@@ -225,7 +225,7 @@ def test_frattini_of_two_groups_is_cyclic_quarter_order():
 def test_is_normal_examples():
     G = construct("dihedral:3")
     L = all_subgroups(G)
-    assert is_normal(G, L.trivial())
+    assert is_normal(G, L.subgroups[0])
     rot = next(H for H in L.subgroups if H.order == 3)
     assert is_normal(G, rot)
     refl = next(H for H in L.subgroups if H.order == 2)
@@ -322,7 +322,7 @@ def test_subgroup_as_group_induces_consistent_orders():
     G = construct("dihedral:6")
     L = all_subgroups(G)
     for H in L.subgroups:
-        induced = H.as_group()
+        induced = as_group(H)
         parent_orders = sorted(G.element_order(int(m)) for m in H.members)
         assert sorted(induced.element_orders().tolist()) == parent_orders
 
@@ -335,13 +335,13 @@ def test_large_elementary_abelian_lattice_count():
 
 def test_whole_group_as_group_is_parent_table():
     G = construct("dihedral:5")
-    whole = all_subgroups(G).whole_group()
-    assert whole.as_group().table.tolist() == G.table.tolist()
+    whole = all_subgroups(G).subgroups[-1]
+    assert as_group(whole).table.tolist() == G.table.tolist()
 
 
 def test_fallback_coset_scan_matches_batch(monkeypatch):
-    """Forcing the sequential coset scan (used for very large subgroups)
-    must reproduce the vectorized path exactly."""
+    """Budget 0 walks every subgroup's cosets (the path of very large
+    subgroups): the walked minima must reproduce the gathered ones exactly."""
     import grouptotient.lattice as lattice_mod
 
     specs = ["cyclic:24", "dihedral:6", "quaternion:16", "abelian:2,2,4", "heisenberg:3", "sdp:7,3,2"]
@@ -357,8 +357,8 @@ def test_fallback_coset_scan_matches_batch(monkeypatch):
 
 
 def test_fallback_coset_scan_matches_batch_on_permutation_groups(tmp_path, monkeypatch):
-    """The same check on non-abelian groups ingested from .gens, whose
-    joins all take the pruned Dimino path."""
+    """The same check of walked against gathered coset minima on
+    non-abelian groups ingested from .gens, where every extension is a join."""
     import grouptotient.lattice as lattice_mod
 
     # PSL(2,7) on the projective line over F_7 (point 7 is infinity): x -> x + 1, x -> -1/x

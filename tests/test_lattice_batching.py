@@ -51,10 +51,10 @@ def _records(L):
 
 def test_level_sweep_independent_of_chunk_budget(tmp_path, monkeypatch):
     """The default budget, one parent per chunk (4 * |G|: order-4 parents
-    one at a time, larger ones through the sequential coset scan), and
-    budget 0 (every parent scanned sequentially, and the totient pass one
-    row per block) give the same subgroups, members, bitsets and totients,
-    in sort_key order."""
+    one at a time, larger ones through the coset walk), and budget 0 (the
+    coset minima of every parent walked, not gathered, and the totient pass
+    one row per block) give the same subgroups, members, bitsets and
+    totients, in sort_key order."""
     groups = _groups(tmp_path)
     expected = {name: _records(all_subgroups(G)) for name, G in groups.items()}
     assert len(expected["abelian:2,2,2,2,2"]) == 374
@@ -121,11 +121,38 @@ def _joins(monkeypatch, G):
 def test_candidates_that_cannot_be_canonical_are_never_joined(tmp_path, monkeypatch):
     """The H*a^-1, H*a^2 and HaH minima drop candidates before any join:
     testing only H*a, A6 ran 3,997 joins and abandoned 3,497, and
-    product:(dihedral:15)x(cyclic:4) ran 164 and abandoned 33.  The
-    sequential coset scan (budget 0) skips the HaH test."""
+    product:(dihedral:15)x(cyclic:4) ran 164 and abandoned 33.  Walked
+    coset minima (budget 0) go through the same filters as gathered ones,
+    HaH included, so they start and abandon the same joins."""
     a6 = _from_gens(tmp_path, 6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)])
     assert a6.order == 360
     assert _joins(monkeypatch, a6) == (818, 318)
     assert _joins(monkeypatch, construct("product:(dihedral:15)x(cyclic:4)")) == (140, 9)
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
-    assert _joins(monkeypatch, a6) == (1864, 1364)
+    assert _joins(monkeypatch, a6) == (818, 318)
+
+
+def test_coset_walk_at_its_natural_scale(monkeypatch):
+    """dihedral:400 (order 800) walks the cosets of its subgroups of order
+    400 and 800 at the default budget (|H| * |G| > 2^18); it has
+    tau(400) + sigma(400) = 15 + 961 = 976 subgroups, and every level and
+    totient equals the budget-0 lattice, where every parent is walked."""
+    G = construct("dihedral:400")
+    walked, walk = [], lattice_mod._coset_minima
+
+    def counting(table, members):
+        walked.append(len(members))
+        return walk(table, members)
+
+    monkeypatch.setattr(lattice_mod, "_coset_minima", counting)
+    L = all_subgroups(G)
+    assert len(L) == 976
+    assert sorted(walked) == [400, 400, 400, 800]
+    monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
+    walked.clear()
+    L0 = all_subgroups(G)
+    assert len(walked) == 976
+    assert L0.levels.keys() == L.levels.keys()
+    for k, level in L.levels.items():
+        assert L0.levels[k].dtype == level.dtype and np.array_equal(L0.levels[k], level), k
+    assert np.array_equal(L0.totients, L.totients)

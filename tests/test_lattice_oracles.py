@@ -11,7 +11,7 @@ import pytest
 from collections import Counter
 
 from grouptotient import all_subgroups, construct, maximal_subgroups, read_permutation_generators
-from grouptotient.lattice import _least_generators
+from grouptotient.groups import _least_generators
 from naive_oracles import naive_closure
 
 

@@ -15,6 +15,7 @@ from grouptotient import (
     maximal_subgroups,
 )
 from grouptotient.verify import _summary, subgroup_gauss_sum_from_lattice
+from naive_oracles import as_group
 from test_lattice_batching import _bits, _groups
 
 
@@ -51,13 +52,13 @@ def test_summary_path_builds_no_subgroup_objects(tmp_path):
 
 def test_down_set_gauss_sum_matches_each_subgroups_own_lattice(tmp_path):
     """Oracle sharing no containment code: H's own lattice, built from
-    H.as_group(), gives the Gauss sum read off the parent lattice."""
+    as_group(H), gives the Gauss sum read off the parent lattice."""
     groups = _groups(tmp_path)
     for name in ("abelian:2,2,4", "dihedral:12", "sdp:7,3,2", "a5"):
         G = groups[name] if name in groups else construct(name)
         L = all_subgroups(G)
         for H in L.subgroups:
-            Q = H.as_group()
+            Q = as_group(H)
             assert subgroup_gauss_sum_from_lattice(L, H) == gauss_sum(Q, all_subgroups(Q)), name
 
 

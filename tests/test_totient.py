@@ -22,7 +22,7 @@ from grouptotient import (
     summarize,
     two_group_gauss_sum,
 )
-from naive_oracles import naive_gauss_sum, naive_phi
+from naive_oracles import as_group, naive_gauss_sum, naive_phi
 
 
 def s_of(spec):
@@ -51,7 +51,7 @@ def test_subgroup_totient_uses_parent_orders():
     G = construct("dihedral:6")
     L = all_subgroups(G)
     for H in L.subgroups:
-        induced = H.as_group()
+        induced = as_group(H)
         assert subgroup_totient(H) == naive_phi(induced.table.tolist())
 
 
