@@ -43,7 +43,8 @@ GENERATORS_SUFFIX = ".gens"
 class CatalogueEntry:
     id: str
     source: str  # "cayley-table" or "permutation-generators"
-    group: Group
+    group: Group | None  # None when the file's group is over the order cap
+    skipped: str = ""  # why group is None
 
 
 def read_cayley_table(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:
@@ -200,26 +201,29 @@ def _cayley_graph_table(right, parent, via, depth) -> np.ndarray:
 
 
 def load_catalogue(directory, max_order: int = DEFAULT_MAX_ORDER) -> list[CatalogueEntry]:
-    """Ingest every recognized file in a directory, ordered by id; no
-    group may exceed `max_order`."""
+    """Ingest every recognized file in a directory, ordered by id.  A file
+    whose group exceeds `max_order` becomes an entry without a group, its
+    reason in `skipped`, so a scan records it as skipped and goes on."""
     directory = Path(directory)
     entries: list[CatalogueEntry] = []
     seen: set[str] = set()
     for name in sorted(os.listdir(directory)):
         path = directory / name
         if name.endswith(CAYLEY_SUFFIX):
-            source = "cayley-table"
-            group = read_cayley_table(path, max_order=max_order)
+            source, read = "cayley-table", read_cayley_table
         elif name.endswith(GENERATORS_SUFFIX):
-            source = "permutation-generators"
-            group = read_permutation_generators(path, max_order=max_order)
+            source, read = "permutation-generators", read_permutation_generators
         else:
             continue
+        try:
+            group, skipped = read(path, max_order=max_order), ""
+        except OrderOverflowError as exc:
+            group, skipped = None, str(exc)
         stem = path.stem
         if stem in seen:
             raise ParseError(f"duplicate catalogue id {stem!r}", 1)
         seen.add(stem)
-        entries.append(CatalogueEntry(id=stem, source=source, group=group))
+        entries.append(CatalogueEntry(id=stem, source=source, group=group, skipped=skipped))
     return entries
 
 

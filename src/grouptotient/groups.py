@@ -399,7 +399,10 @@ def construct(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Grou
         return direct_product(factors, max_order=max_order)
     else:
         raise InvalidParameterError(f"unknown family {fam!r}")
-    return Group(table, spec=spec)
+    G = Group(table, spec=spec)
+    if fam in ("cyclic", "abelian"):
+        G._abelian = True  # known, so is_abelian need not compare the table with its transpose
+    return G
 
 
 def _expect_params(spec: GroupSpec, k: int) -> tuple:
@@ -427,17 +430,25 @@ def direct_product(factors: list[Group], max_order: int = DEFAULT_MAX_ORDER) -> 
 
 
 def _cyclic_table(n: int) -> np.ndarray:
+    """Row a is a, a+1, ..., a-1 (mod n): a read-only strided view of
+    0..n-1 written twice, row a starting at entry a, so the n x n table is
+    only allocated when Group copies it, already in its final dtype."""
     if n < 1:
         raise InvalidParameterError(f"cyclic group order must be >= 1, got {n}")
-    r = np.arange(n, dtype=np.int64)
-    return np.add.outer(r, r) % n
+    r = np.arange(n, dtype=_index_dtype(n))
+    twice = np.concatenate([r, r])
+    return np.lib.stride_tricks.as_strided(twice, (n, n), twice.strides * 2, writeable=False)
 
 
 def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Table of the direct product on indices a1*n2 + a2, written straight
+    into its final index dtype: every sum is below n1*n2, so no step needs a
+    wider one."""
     n1, n2 = t1.shape[0], t2.shape[0]
-    t1 = t1.astype(np.int64)
-    t2 = t2.astype(np.int64)
-    table = t1[:, None, :, None] * n2 + t2[None, :, None, :]
+    dtype = _index_dtype(n1 * n2)
+    offsets = (np.arange(n1) * n2).astype(dtype)  # a1 -> a1*n2
+    table = np.empty((n1, n2, n1, n2), dtype=dtype)
+    np.add(offsets[t1][:, None, :, None], t2.astype(dtype)[None, :, None, :], out=table)
     return table.reshape(n1 * n2, n1 * n2)
 
 

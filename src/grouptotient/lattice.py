@@ -30,16 +30,19 @@ each right coset's minimum, so before joining it also requires
 
 These are necessary conditions only; the join stays the complete test,
 so they remove joins but never change what is found.  On A6 the sweep
-runs 818 joins and abandons 318 (3,997 and 3,497 with the H*a test
-alone).
+runs 662 joins and abandons 318 (3,997 and 3,497 with the H*a test
+alone and level 1 joined as well).
 
 The search sweeps one subgroup order at a time, smallest first; as
 children outgrow their parents and chains are unique, the sweep order
-changes nothing found.  Each level's members form one matrix, swept in
-chunks, and each chunk yields the right-coset minima
-minima[r, x] = min(H_r*x): as table[block].min(axis=1) for chunks of up
-to _BATCH_LIMIT gathered entries, or, for a subgroup too large for one
-(|H| * |G| > _BATCH_LIMIT = 2^18, first above order 724 when
+changes nothing found.  Level 1 is read off the least-generator walk:
+the children of the trivial subgroup are the <a> whose least
+non-identity element is their least generator a, taken as one block per
+order with no candidate sweep and no join.  Every larger level's members
+form one matrix, swept in chunks, and each chunk yields the right-coset
+minima minima[r, x] = min(H_r*x): as table[block].min(axis=1) for chunks
+of up to _BATCH_LIMIT gathered entries, or, for a subgroup too large for
+one (|H| * |G| > _BATCH_LIMIT = 2^18, first above order 724 when
 |H| = |G| / 2), by walking its cosets one at a time, which costs n
 gathered entries, not |H| * n.  Both hand the same rows to the same
 filters and joins.  Abelian index-2 steps (a^2 in H, so <H, a> =
@@ -49,8 +52,11 @@ minimum and (H*x)*s = H*(x*s), so the coset reached from H*x by a
 generator s is minima[r, x*s], and members are gathered only for a join
 that succeeds.  One lexsort per level gives the canonical order.
 The same pass counts each subgroup's totient and keeps the vector on the
-lattice, for every Gauss sum to read.  The rank-8 elementary abelian group
-(417199 subgroups) takes 2-4 s, totients included, on a 2-vCPU Xeon host.
+lattice, for every Gauss sum to read; it also sums the totients of the
+cyclic subgroups (those whose exponent is their order), so
+`Lattice.cyclic_sum` is |G| exactly when the lattice holds every cyclic
+subgroup.  The rank-8 elementary abelian group (417199 subgroups) takes
+2-4 s, totients included, on a 2-vCPU Xeon host.
 
 The lattice keeps these level matrices and the totient vector; Subgroup
 objects are built on first read, so summaries never build one, and every
@@ -117,14 +123,18 @@ class Subgroup:
 class Lattice:
     """All subgroups of a group in canonical order (by order, then by member
     list): ``levels`` maps each order to its sorted member matrix, ``totients``
-    holds each subgroup's totient (int64); ``subgroups`` is built on first read."""
+    holds each subgroup's totient (int64) and ``cyclic_sum`` the totients of
+    the cyclic ones; ``subgroups`` is built on first read."""
 
-    __slots__ = ("group", "levels", "totients", "_subgroups")
+    __slots__ = ("group", "levels", "totients", "cyclic_sum", "_subgroups")
 
-    def __init__(self, group: Group, levels: dict[int, np.ndarray], totients: np.ndarray):
+    def __init__(
+        self, group: Group, levels: dict[int, np.ndarray], totients: np.ndarray, cyclic_sum: int
+    ):
         self.group = group
         self.levels = levels
         self.totients = totients
+        self.cyclic_sum = cyclic_sum
         self._subgroups = None
 
     @property
@@ -205,6 +215,7 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     levels: dict[int, np.ndarray] = {}
     element_orders = G.element_orders()
     totients = []
+    cyclic_sum = 0
 
     def accept(block, chains):
         nonlocal found
@@ -224,13 +235,24 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
         level = level[order]
         chains = [chains[i] for i in order.tolist()]
         levels[m] = level
-        # totient: the members whose order is the subgroup's exponent
-        per_block = max(1, _BATCH_LIMIT // m)
-        for start in range(0, len(level), per_block):
-            orders = element_orders[level[start : start + per_block]]
-            totients.append(np.count_nonzero(orders == np.lcm.reduce(orders, axis=1)[:, None], axis=1))
+        counts, level_cyclic_sum = _totients(level, element_orders)
+        totients += counts
+        cyclic_sum += level_cyclic_sum
+        if m == 1:
+            # the children of the trivial subgroup: every <a> whose least
+            # non-identity element is its least generator a, one block per order
+            by_order = {}
+            for a, powers in list(walks.items())[1:]:
+                members = sorted(powers)
+                if members[1] == a:  # members[0] is the identity
+                    rows, firsts = by_order.setdefault(len(members), ([], []))
+                    rows.append(members)
+                    firsts.append((a,))
+            for rows, firsts in by_order.values():
+                accept(np.array(rows, dtype=table.dtype), firsts)
+            continue
         rows = _BATCH_LIMIT // (m * n)
-        lasts = np.array([chain[-1] if chain else 0 for chain in chains])
+        lasts = np.array([chain[-1] for chain in chains])
         for start in range(0, len(level), max(rows, 1)):
             block = level[start : start + max(rows, 1)]
             # minima[r, x] = min(H_r * x), which is 0 exactly for x in H_r: a
@@ -262,7 +284,23 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                 if joined is not None:  # None: b is not the least new element of the join
                     accept(joined.astype(table.dtype)[None, :], [chain + (b,)])
 
-    return Lattice(G, levels, np.concatenate(totients).astype(np.int64))
+    return Lattice(G, levels, np.concatenate(totients).astype(np.int64), cyclic_sum)
+
+
+def _totients(level, element_orders):
+    """Each row's totient, the members whose order is the row's exponent, in
+    blocks of up to _BATCH_LIMIT gathered orders; and the sum of the totients
+    of the cyclic rows, those whose exponent is the row length m (their
+    totient is phi(m))."""
+    m = level.shape[1]
+    counts, cyclic_sum = [], 0
+    per_block = max(1, _BATCH_LIMIT // m)
+    for start in range(0, len(level), per_block):
+        orders = element_orders[level[start : start + per_block]]
+        exponents = np.lcm.reduce(orders, axis=1)
+        counts.append(np.count_nonzero(orders == exponents[:, None], axis=1))
+        cyclic_sum += int(counts[-1][exponents == m].sum())
+    return counts, cyclic_sum
 
 
 def _coset_minima(table, members):

@@ -4,12 +4,23 @@ Every suite compares an exact expected value (a closed form or an
 independently derived count) against a brute-force value computed from
 complete lattice enumeration.  Suite output is deterministic for a given
 (suite id, params) pair: reports are byte-identical across runs.
+
+Suites share one per-process lattice cache: `summarize_spec` and the
+suites' `_group_and_lattice` enumerate a spec's lattice once and keep,
+keyed by (spec string, subgroup cap), only its level matrices, totient
+vector and cyclic sum, stored read-only.  A hit builds the group again
+from its spec (cheap and deterministic) and wraps the cached arrays.  The
+cache holds at most _LATTICE_CACHE_BYTES = 4 MiB of arrays, evicting the
+least recently used; a larger lattice is never stored.  The nine theorem
+suites of the benchmark hold about 0.2 MiB.  Scans summarize without it:
+each of their groups is seen once, so caching would only hold memory.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import count, repeat, takewhile
@@ -38,7 +49,7 @@ from .lattice import (
 from .numtheory import divisors, euler_phi, factorize, is_prime, prime_power
 from .reports import GaussSummary, ScanResult, ScanRow, SuiteResult
 from .totient import (
-    cyclic_totient_sum,
+    cyclic_totient_sum,  # not called here; perfbench/spans.py wraps it in this namespace by name
     dihedral_gauss_sum,
     dihedral_totient,
     fixed_point_free_decomposition,
@@ -76,7 +87,7 @@ def _summary(G: Group, L: Lattice) -> GaussSummary:
         group_order=G.order,
         phi=group_totient(G),
         s_value=s,
-        cyclic_sum=cyclic_totient_sum(G),
+        cyclic_sum=L.cyclic_sum,
         subgroup_count=len(L),
         in_class_c=s == G.order,
         nilpotent=is_nilpotent(G, L),
@@ -90,8 +101,35 @@ def summarize_spec(
     max_order: int = DEFAULT_MAX_ORDER,
     max_subgroups: int = SUITE_MAX_SUBGROUPS,
 ) -> GaussSummary:
-    """Cached summary keyed by spec string, shared across suites and scans."""
-    return summarize(construct(spec_text, max_order=max_order), max_subgroups=max_subgroups)
+    """Cached summary keyed by spec string, shared across suites."""
+    return _summary(*_cached_lattice(spec_text, max_order, max_subgroups))
+
+
+# (spec string, subgroup cap) -> (levels, totients, cyclic sum, bytes held),
+# least recently used first
+_lattices: OrderedDict = OrderedDict()
+_LATTICE_CACHE_BYTES = 4 << 20
+
+
+def _cached_lattice(spec, max_order, max_subgroups) -> tuple[Group, Lattice]:
+    """The group of a suite spec and its lattice, enumerated at most once per
+    process while the lattice stays in the cache (see module docstring)."""
+    G = construct(spec, max_order=max_order)
+    key = (str(G.spec), max_subgroups)
+    if key in _lattices:
+        _lattices.move_to_end(key)
+        levels, totients, cyclic_sum, _ = _lattices[key]
+        return G, Lattice(G, dict(levels), totients, cyclic_sum)
+    L = all_subgroups(G, max_subgroups=max_subgroups)
+    arrays = [*L.levels.values(), L.totients]
+    size = sum(a.nbytes for a in arrays)
+    if size <= _LATTICE_CACHE_BYTES:
+        for a in arrays:
+            a.setflags(write=False)
+        while sum(entry[3] for entry in _lattices.values()) + size > _LATTICE_CACHE_BYTES:
+            _lattices.popitem(last=False)
+        _lattices[key] = (dict(L.levels), L.totients, L.cyclic_sum, size)
+    return G, L
 
 
 def subgroup_gauss_sum_from_lattice(L: Lattice, sub) -> int:
@@ -279,8 +317,7 @@ def _parsed(corpus) -> list[GroupSpec]:
 def _group_and_lattice(spec: GroupSpec, max_order, max_subgroups) -> tuple[Group, Lattice]:
     """The group of a suite spec and its complete lattice, within both caps."""
     _require_order(spec.order(), max_order)
-    G = construct(spec, max_order=max_order)
-    return G, all_subgroups(G, max_subgroups=max_subgroups)
+    return _cached_lattice(spec, max_order, max_subgroups)
 
 
 def _suite_thm3(params, max_order, max_subgroups) -> SuiteResult:
@@ -582,12 +619,13 @@ def _scan_id(item) -> str:
 
 def _scan_item(item, max_order, max_subgroups):
     ident = _scan_id(item)
+    if isinstance(item, CatalogueEntry) and item.group is None:
+        return ("skip", ident, item.skipped)
     group = item.group if isinstance(item, CatalogueEntry) else item if isinstance(item, Group) else None
     try:
         if group is None:
-            summary = summarize_spec(ident, max_order, max_subgroups)
-        else:
-            summary = summarize(group, max_subgroups=max_subgroups)
+            group = construct(ident, max_order=max_order)
+        summary = summarize(group, max_subgroups=max_subgroups)
     except (LatticeOverflowError, OrderOverflowError) as exc:
         return ("skip", ident, str(exc))
     return ("row", ScanRow.of(ident, summary))

@@ -17,8 +17,11 @@ from grouptotient import (
     parse_spec,
     validate_table,
 )
+from grouptotient.groups import _product_table
 from grouptotient.numtheory import integer_log
 from naive_oracles import naive_orders, power_map_orders, relabel
+from test_lattice import ORACLE_SPECS
+from test_properties import SMALL_SPECS
 
 ALL_FAMILY_SPECS = [
     "cyclic:1",
@@ -45,6 +48,41 @@ ALL_FAMILY_SPECS = [
     "product:(cyclic:4)x(cyclic:9)",
     "product:(dihedral:3)x(cyclic:5)",
 ]
+
+
+def test_is_abelian_matches_the_transpose_check():
+    """Cyclic and abelian specs are known abelian at construction; every
+    family spec still answers as the transpose comparison does."""
+    for spec in ALL_FAMILY_SPECS + list(SMALL_SPECS) + ORACLE_SPECS:
+        G = construct(spec)
+        t = G.table
+        if G.spec.family in ("cyclic", "abelian"):
+            assert G._abelian is True, spec
+        assert G.is_abelian() == bool(np.array_equal(t, t.T)), spec
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ("dihedral:3", "quaternion:8"),
+        ("quaternion:8", "dihedral:3"),
+        ("cyclic:16", "cyclic:16"),  # order 256, the last uint8 table
+        ("cyclic:1", "abelian:2,2,2,2,2,2,2,2"),  # offset 256 only multiplies index 0
+        ("dihedral:64", "cyclic:2"),
+        ("cyclic:1", "cyclic:257"),  # order 257, the first uint16 table
+        ("dihedral:3", "cyclic:43"),
+        ("heisenberg:3", "dihedral:5"),
+    ],
+)
+def test_product_table_in_its_final_dtype(left, right):
+    """The product table is written straight into its index dtype and equals
+    the int64 formula t1[a1, b1] * n2 + t2[a2, b2]."""
+    t1, t2 = construct(left).table, construct(right).table
+    n1, n2 = len(t1), len(t2)
+    wide = t1.astype(np.int64)[:, None, :, None] * n2 + t2.astype(np.int64)[None, :, None, :]
+    table = _product_table(t1, t2)
+    assert table.dtype == (np.uint8 if n1 * n2 <= 256 else np.uint16)
+    assert np.array_equal(table, wide.reshape(n1 * n2, n1 * n2))
 
 
 @pytest.mark.parametrize("spec", ALL_FAMILY_SPECS)

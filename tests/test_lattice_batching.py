@@ -9,6 +9,8 @@ from grouptotient import (
     LatticeOverflowError,
     all_subgroups,
     construct,
+    cyclic_subgroups,
+    euler_phi,
     gauss_sum,
     read_permutation_generators,
     subgroup_totient,
@@ -95,6 +97,21 @@ def test_batched_gauss_sum_matches_per_subgroup_totients(tmp_path):
         assert gauss_sum(G, L) == sum(subgroup_totient(H) for H in L.subgroups), G
 
 
+def test_cyclic_sum_is_read_off_the_lattice(tmp_path):
+    """The totient pass sums phi over the subgroups whose exponent is their
+    order; on relabelled non-abelian tables, where a cyclic subgroup's least
+    generator need not be its least non-identity element, that sum equals
+    the sum over the independently built cyclic_subgroups, and |G|."""
+    groups = [
+        _relabelled(spec, seed)
+        for spec in ("dihedral:6", "quaternion:16", "sdp:7,3,2", "heisenberg:3", "product:(dihedral:3)x(cyclic:4)")
+        for seed in (1, 2)
+    ] + [_groups(tmp_path)["a5"]]
+    for G in groups:
+        L = all_subgroups(G)
+        assert L.cyclic_sum == sum(euler_phi(C.order) for C in cyclic_subgroups(G)) == G.order, G
+
+
 def test_gauss_sum_pins_benchmark_oracle_values():
     for spec, s in (("abelian:2,2,2,2,2,2,2", 358776), ("abelian:4,4,4", 876)):
         G = construct(spec)
@@ -121,22 +138,26 @@ def _joins(monkeypatch, G):
 def test_candidates_that_cannot_be_canonical_are_never_joined(tmp_path, monkeypatch):
     """The H*a^-1, H*a^2 and HaH minima drop candidates before any join:
     testing only H*a, A6 ran 3,997 joins and abandoned 3,497, and
-    product:(dihedral:15)x(cyclic:4) ran 164 and abandoned 33.  Walked
-    coset minima (budget 0) go through the same filters as gathered ones,
-    HaH included, so they start and abandon the same joins."""
+    product:(dihedral:15)x(cyclic:4) ran 164 and abandoned 33.  Level 1
+    is read off the least-generator walk, so the cyclic subgroups are
+    never joined (with level-1 joins, A6 ran 818 and abandoned 318, the
+    product 140 and 9).  Walked coset minima (budget 0) go through the
+    same filters as gathered ones, HaH included, so they start and
+    abandon the same joins."""
     a6 = _from_gens(tmp_path, 6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)])
     assert a6.order == 360
-    assert _joins(monkeypatch, a6) == (818, 318)
-    assert _joins(monkeypatch, construct("product:(dihedral:15)x(cyclic:4)")) == (140, 9)
+    assert _joins(monkeypatch, a6) == (662, 318)
+    assert _joins(monkeypatch, construct("product:(dihedral:15)x(cyclic:4)")) == (99, 3)
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
-    assert _joins(monkeypatch, a6) == (818, 318)
+    assert _joins(monkeypatch, a6) == (662, 318)
 
 
 def test_coset_walk_at_its_natural_scale(monkeypatch):
     """dihedral:400 (order 800) walks the cosets of its subgroups of order
     400 and 800 at the default budget (|H| * |G| > 2^18); it has
     tau(400) + sigma(400) = 15 + 961 = 976 subgroups, and every level and
-    totient equals the budget-0 lattice, where every parent is walked."""
+    totient equals the budget-0 lattice, where every parent but the
+    trivial subgroup (level 1 comes from the least-generator walk) is walked."""
     G = construct("dihedral:400")
     walked, walk = [], lattice_mod._coset_minima
 
@@ -151,7 +172,7 @@ def test_coset_walk_at_its_natural_scale(monkeypatch):
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
     walked.clear()
     L0 = all_subgroups(G)
-    assert len(walked) == 976
+    assert len(walked) == 975
     assert L0.levels.keys() == L.levels.keys()
     for k, level in L.levels.items():
         assert L0.levels[k].dtype == level.dtype and np.array_equal(L0.levels[k], level), k

@@ -2,7 +2,9 @@
 
 import json
 import math
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from grouptotient import (
@@ -14,17 +16,21 @@ from grouptotient import (
     construct,
     gauss_sum,
     is_nilpotent,
+    parse_spec,
     pq_group_spec,
     run_scan,
     run_suite,
     summarize,
+    summarize_spec,
     sylow_subgroups,
     verify_classical_gauss,
     write_cayley_table,
 )
 from grouptotient.cli import main
+from grouptotient.groups import DEFAULT_MAX_ORDER
 from grouptotient.verify import (
     COR2_CORPUS_DEFAULT,
+    SUITE_MAX_SUBGROUPS,
     DIHEDRAL_TOTIENT_NOTE,
     PQ_PAIRS_DEFAULT,
     abelian_type_specs,
@@ -316,6 +322,86 @@ def test_cli_suite_param_validation(capsys):
     assert main(["suite", "thm7", "--param", "n_max=abc"]) == 2
 
 
+def _fresh_lattice_cache(monkeypatch):
+    """An empty suite lattice cache for this test, and the specs whose
+    lattice verify enumerates from now on."""
+    import grouptotient.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "_lattices", OrderedDict())
+    enumerate_, calls = verify_mod.all_subgroups, []
+
+    def counting(G, **caps):
+        calls.append(str(G.spec))
+        return enumerate_(G, **caps)
+
+    monkeypatch.setattr(verify_mod, "all_subgroups", counting)
+    return verify_mod, calls
+
+
+def test_suite_lattices_are_enumerated_once_per_spec(monkeypatch):
+    spec = parse_spec("product:(dihedral:3)x(cyclic:4)")
+    expected = summarize(construct(spec))
+    verify_mod, calls = _fresh_lattice_cache(monkeypatch)
+    G1, L1 = verify_mod._group_and_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
+    G2, L2 = verify_mod._group_and_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
+    assert calls == [str(spec)]
+    assert G2 is not G1 and L2.group is G2 and np.array_equal(G2.table, G1.table)
+    assert L2.levels.keys() == L1.levels.keys()
+    for k, level in L2.levels.items():
+        assert np.array_equal(level, L1.levels[k]) and not level.flags.writeable, k
+        with pytest.raises(ValueError):
+            level[0, 0] = 1
+    assert np.array_equal(L2.totients, L1.totients) and not L2.totients.flags.writeable
+    assert L2.cyclic_sum == L1.cyclic_sum == 24
+    # summaries share the cache (a cap of its own keeps summarize_spec's lru_cache cold)
+    summary = summarize_spec(str(spec), DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS - 1)
+    assert summary == expected
+    assert summarize_spec(str(spec), DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS - 1) is summary
+    assert calls == [str(spec)] * 2  # the cap is part of the key
+    verify_mod._group_and_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS - 1)
+    assert len(calls) == 2
+
+
+def test_lattice_cache_evicts_the_least_recently_used(monkeypatch):
+    verify_mod, calls = _fresh_lattice_cache(monkeypatch)
+
+    def lattice(text):
+        return verify_mod._group_and_lattice(parse_spec(text), DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)[1]
+
+    size = {
+        text: sum(a.nbytes for a in [*L.levels.values(), L.totients])
+        for text in ("dihedral:6", "dihedral:10", "quaternion:16")
+        for L in [all_subgroups(construct(text), max_subgroups=SUITE_MAX_SUBGROUPS)]
+    }
+    assert len(set(size.values())) == 3
+    # room for the two largest lattices, not for all three
+    monkeypatch.setattr(verify_mod, "_LATTICE_CACHE_BYTES", sum(size.values()) - min(size.values()))
+    for text in ("dihedral:6", "dihedral:10", "dihedral:6", "quaternion:16", "dihedral:6", "dihedral:10"):
+        lattice(text)
+    # quaternion:16 evicted dihedral:10, the least recently used, then dihedral:10
+    # evicted quaternion:16; dihedral:6 stayed
+    assert calls == ["dihedral:6", "dihedral:10", "quaternion:16", "dihedral:10"]
+    assert sum(entry[3] for entry in verify_mod._lattices.values()) <= verify_mod._LATTICE_CACHE_BYTES
+    # a lattice over the bound is never stored
+    monkeypatch.setattr(verify_mod, "_LATTICE_CACHE_BYTES", min(size.values()) - 1)
+    verify_mod._lattices.clear()
+    lattice("quaternion:16")
+    lattice("quaternion:16")
+    assert calls[-2:] == ["quaternion:16"] * 2 and not verify_mod._lattices
+
+
+def test_family_scan_skips_an_over_cap_spec():
+    """A scan summarizes without the suites' cache and its order check, so an
+    over-cap spec is refused by construct (OrderOverflowError), and recorded
+    as skipped, not raised as the suites' RangeTooLargeError."""
+    result = run_scan(family_specs("dihedral", 60), max_order=50)
+    assert [row.id for row in result.rows] == [f"dihedral:{n}" for n in range(2, 26)]
+    assert result.skipped[0] == {
+        "id": "dihedral:26", "reason": "group order 52 exceeds the configured cap 50"
+    }
+    assert [skip["id"] for skip in result.skipped] == [f"dihedral:{n}" for n in range(26, 31)]
+
+
 def test_summarize_spec_cache_consistency():
     from grouptotient import summarize_spec
 
@@ -448,19 +534,21 @@ def test_decomposition_reads_only_prime_index_levels():
 
 
 def test_cli_max_order_caps_ingested_files(tmp_path, capsys):
-    """A 60-element table and a 120-element generated group exceed --max-order 50."""
-    table, gens = tmp_path / "table", tmp_path / "gens"
-    table.mkdir()
-    gens.mkdir()
-    write_cayley_table(construct("dihedral:30"), table / "d30.cayley")
-    (gens / "s5.gens").write_text("5\n1 2 3 4 0\n1 0 2 3 4\n")
-    for argv in (
-        ["scan", "--catalogue", str(table)],
-        ["scan", "--catalogue", str(gens)],
-        ["summarize", "--file", str(table / "d30.cayley")],
-    ):
-        assert main(["--max-order", "50", *argv]) == 2, argv
-        assert "exceeds the configured cap 50" in capsys.readouterr().err, argv
+    """A 60-element table and a 120-element generated group exceed
+    --max-order 50: a catalogue scan records each as skipped and scans the
+    files under the cap, as a family scan does; summarize --file exits 2."""
+    write_cayley_table(construct("dihedral:30"), tmp_path / "d30.cayley")
+    (tmp_path / "s5.gens").write_text("5\n1 2 3 4 0\n1 0 2 3 4\n")
+    write_cayley_table(construct("cyclic:7"), tmp_path / "c7.cayley")
+    assert main(["--max-order", "50", "scan", "--catalogue", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert [row["id"] for row in payload["rows"]] == ["c7"]
+    assert [skip["id"] for skip in payload["skipped"]] == ["d30", "s5"]
+    assert "skipped d30: group order 60 exceeds the configured cap 50" in err
+    assert "skipped s5: group order 51 exceeds the configured cap 50" in err
+    assert main(["--max-order", "50", "summarize", "--file", str(tmp_path / "d30.cayley")]) == 2
+    assert "exceeds the configured cap 50" in capsys.readouterr().err
 
 
 def _inline_pool(monkeypatch, cpus):
