@@ -15,11 +15,9 @@ from .catalogue import (
 from .errors import (
     GroupError,
     IdentityNotZeroError,
-    IndexOutOfRangeError,
     InvalidParameterError,
     LatticeOverflowError,
     MixedPrimesError,
-    NotAbelianError,
     NotAGroupError,
     NotAPermutationError,
     NotNormalError,
@@ -47,7 +45,6 @@ from .lattice import (
     complements,
     cyclic_subgroups,
     frattini,
-    generated_subgroup,
     is_nilpotent,
     is_normal,
     large_abelian_subgroup_witness,
@@ -73,10 +70,8 @@ from .totient import (
     fixed_point_free_decomposition,
     gauss_sum,
     group_totient,
-    in_gauss_class,
     semidirect_gauss_sum,
     subgroup_is_cyclic,
-    subgroup_totient,
     two_group_gauss_sum,
 )
 from .verify import (

@@ -18,14 +18,6 @@ class OrderOverflowError(GroupError):
         self.cap = cap
 
 
-class IndexOutOfRangeError(GroupError, IndexError):
-    """An element index is not in 0..|G|-1."""
-
-
-class NotAbelianError(GroupError):
-    """An operation defined only for abelian groups was applied to a non-abelian one."""
-
-
 class MixedPrimesError(GroupError, ValueError):
     """An abelian type restricted to a single prime contained several primes."""
 

@@ -19,13 +19,11 @@ import numpy as np
 
 from .errors import (
     IdentityNotZeroError,
-    IndexOutOfRangeError,
     InvalidParameterError,
-    NotAbelianError,
     NotAGroupError,
     OrderOverflowError,
 )
-from .numtheory import factorize, integer_log, is_prime, prime_power, valuation
+from .numtheory import is_prime, prime_power
 
 DEFAULT_MAX_ORDER = 20000
 _TILE = 512  # side of the square blocks Group.is_abelian compares
@@ -165,43 +163,12 @@ class Group:
         tag = str(self.spec) if self.spec is not None else "table"
         return f"Group({tag}, order={self.order})"
 
-    def mult(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
     def inverses(self) -> np.ndarray:
         if self._inverse is None:
             inv = np.argmin(self.table, axis=1)
             self._inverse = inv.astype(self.table.dtype)
             self._inverse.setflags(write=False)
         return self._inverse
-
-    def inverse(self, a: int) -> int:
-        self._check_index(a)
-        return int(self.inverses()[a])
-
-    def power(self, a: int, k: int) -> int:
-        """a**k by repeated squaring; k may be negative."""
-        self._check_index(a)
-        if k < 0:
-            a, k = self.inverse(a), -k
-        result, base = 0, a
-        while k:
-            if k & 1:
-                result = int(self.table[result, base])
-            base = int(self.table[base, base])
-            k >>= 1
-        return result
-
-    def element_order(self, a: int) -> int:
-        """Smallest k >= 1 with a**k = identity; divides the group order."""
-        self._check_index(a)
-        if self._orders is not None:
-            return int(self._orders[a])
-        k, x = 1, a
-        while x != 0:
-            x = int(self.table[x, a])
-            k += 1
-        return k
 
     def least_generators(self) -> dict[int, list[int]]:
         """The least generator of each cyclic subgroup, mapped to its powers
@@ -240,43 +207,6 @@ class Group:
             )
         return self._abelian
 
-    def is_cyclic(self) -> bool:
-        """True iff some element has full order (not merely exponent = order)."""
-        return bool((self.element_orders() == self.order).any())
-
-    def abelian_invariants(self) -> "AbelianType":
-        """Primary decomposition of an abelian group from order statistics.
-
-        For each prime p, the count of elements whose order divides p**k
-        is p**m_k where m_k = sum_i min(alpha_i, k); the increments
-        m_k - m_(k-1) are the conjugate of the exponent partition
-        (alpha_1, ..., alpha_r), which is recovered by transposition.
-        """
-        if not self.is_abelian():
-            raise NotAbelianError(f"{self!r} is not abelian")
-        orders = [int(o) for o in self.element_orders()]
-        parts: list[int] = []
-        for p in sorted(factorize(self.order)):
-            # v_p(x) for elements of pure p-power order, -1 for the rest
-            vals = [valuation(o, p) if o == p ** valuation(o, p) else -1 for o in orders]
-            kmax = max(vals)
-            prev = 0
-            conjugate = []
-            for k in range(1, kmax + 1):
-                count = sum(1 for v in vals if 0 <= v <= k)
-                m = integer_log(count, p)
-                conjugate.append(m - prev)
-                prev = m
-            rank = conjugate[0]
-            for i in range(1, rank + 1):
-                alpha = sum(1 for c in conjugate if c >= i)
-                parts.append(p**alpha)
-        return AbelianType(tuple(sorted(parts)))
-
-    def _check_index(self, a: int) -> None:
-        if not 0 <= a < self.order:
-            raise IndexOutOfRangeError(f"element index {a} not in 0..{self.order - 1}")
-
 
 def _least_generators(table: np.ndarray) -> dict[int, list[int]]:
     """Map the least generator a of each cyclic subgroup to its powers
@@ -313,9 +243,6 @@ class AbelianType:
                 raise InvalidParameterError(f"abelian type part {part} is not a prime power > 1")
         object.__setattr__(self, "parts", tuple(sorted(self.parts)))
 
-    def order(self) -> int:
-        return math.prod(self.parts) if self.parts else 1
-
     def primes(self) -> list[int]:
         return sorted({prime_power(part)[0] for part in self.parts})
 
@@ -325,9 +252,6 @@ class AbelianType:
 
     def max_rank(self) -> int:
         return max((self.rank(p) for p in self.primes()), default=0)
-
-    def is_cyclic(self) -> bool:
-        return all(self.rank(p) == 1 for p in self.primes())
 
 
 # ---------------------------------------------------------------------------

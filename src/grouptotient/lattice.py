@@ -61,8 +61,8 @@ subgroup.  The rank-8 elementary abelian group (417199 subgroups) takes
 The lattice keeps these level matrices and the totient vector; Subgroup
 objects are built on first read, so summaries never build one, and every
 containment query is a `Lattice.contained_in` row test over the levels.
-`generated_subgroup` does not join cosets: it closes its seed under
-products, the closure that Light's associativity test also uses.
+`Lattice.totients` is the package's only per-subgroup totient; its last
+entry, the row of G itself, is the group totient that summaries report.
 """
 
 from __future__ import annotations
@@ -70,13 +70,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    IndexOutOfRangeError,
     InvalidParameterError,
     LatticeOverflowError,
     NotNormalError,
     NotPrimePowerError,
 )
-from .groups import Group, _close_under_products
+from .groups import Group
 from .numtheory import factorize, integer_log, prime_power, valuation
 
 DEFAULT_MAX_SUBGROUPS = 200000
@@ -168,23 +167,6 @@ def cyclic_subgroups(G: Group) -> list[Subgroup]:
         arr = np.array(sorted(powers), dtype=G.table.dtype)
         subs.append(Subgroup(G, arr))
     return sorted(subs, key=Subgroup.sort_key)
-
-
-def generated_subgroup(G: Group, seed) -> Subgroup:
-    """Smallest subgroup containing `seed`: {0} closed under products with
-    each seed element in turn (in a finite group a set closed under
-    products is a subgroup)."""
-    n = G.order
-    seed = sorted(set(int(a) for a in seed))
-    for a in seed:
-        if not 0 <= a < n:
-            raise IndexOutOfRangeError(f"seed index {a} not in 0..{n - 1}")
-    closed = np.zeros(n, dtype=bool)
-    closed[0] = True
-    for a in seed:
-        if not closed[a]:
-            _close_under_products(G.table, closed, a)
-    return Subgroup(G, np.flatnonzero(closed).astype(G.table.dtype))
 
 
 _BATCH_LIMIT = 1 << 18  # elements of table[members] gathered per chunk; 0 forces the coset walk

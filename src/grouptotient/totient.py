@@ -3,8 +3,10 @@
 The group totient counts elements whose order equals the group exponent;
 on a cyclic group it reduces to the classical totient.  The Gauss sum of
 a group adds the totient of every subgroup; it equals the group order
-exactly for the class of groups tracked by the `in_class_c` flag, which
-for cyclic groups is the classical divisor identity.
+exactly for the class of groups tracked by the summaries' `in_class_c`
+flag, which for cyclic groups is the classical divisor identity.  The
+per-subgroup totients are counted once, in the lattice pass
+(`Lattice.totients`); the sums here read them rather than count again.
 """
 
 from __future__ import annotations
@@ -18,18 +20,6 @@ from .errors import InvalidParameterError, MixedPrimesError
 from .groups import AbelianType, Group
 from .lattice import Lattice, Subgroup, complements, cyclic_subgroups, is_normal
 from .numtheory import euler_phi, factorize, is_prime, prime_power, valuation
-from .reports import GaussSummary
-
-
-def subgroup_totient(H: Subgroup) -> int:
-    """Totient of a subgroup, from the parent group's element-order cache.
-
-    Element orders are inherited from the parent, so only the subgroup
-    exponent (lcm of member orders) needs recomputing.
-    """
-    orders = H.parent.element_orders()[np.asarray(H.members, dtype=np.int64)]
-    exponent = int(np.lcm.reduce(orders))
-    return int(np.count_nonzero(orders == exponent))
 
 
 def group_totient(G: Group) -> int:
@@ -185,7 +175,3 @@ def fixed_point_free_decomposition(
                     return (N, H, p)
     return None
 
-
-def in_gauss_class(summary: GaussSummary) -> bool:
-    """Membership in the class of groups whose Gauss sum equals their order."""
-    return summary.s_value == summary.group_order

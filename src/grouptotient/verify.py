@@ -86,13 +86,14 @@ def _summary(G: Group, L: Lattice) -> GaussSummary:
     s = gauss_sum(G, L)
     return GaussSummary(
         group_order=G.order,
-        phi=group_totient(G),
+        phi=int(L.totients[-1]),  # the last row of the lattice is G
         s_value=s,
         cyclic_sum=L.cyclic_sum,
         subgroup_count=len(L),
         in_class_c=s == G.order,
         nilpotent=is_nilpotent(G, L),
-        cyclic=G.is_cyclic(),
+        # Gauss: sum_{d|n} phi(d) = n, so at most one subgroup per order leaves phi(n) elements of order n
+        cyclic=all(len(level) == 1 for level in L.levels.values()),
     )
 
 

@@ -12,14 +12,38 @@ element orders by raising every element to successive powers at once, so
 it can check orders at the thousands.  `relabel` renames elements to
 draw new tables of a known group.  `as_group` is the one helper that
 builds a library object: the induced group on a subgroup's members.
+`abelian_expected` is the benchmark's closed-form oracle for abelian
+groups (Birkhoff's subgroup counts), loaded from ``perfbench/oracles.py``
+by path; `summary_fields` puts a library summary under its keys.
 """
 
+import importlib.util
 import random
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 
 from grouptotient import Group
+
+_ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+_spec = importlib.util.spec_from_file_location("perfbench_oracles", _ORACLES)
+_module = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_module)
+abelian_expected = _module.abelian_expected
+
+
+def summary_fields(summary):
+    """The seven summary fields that `abelian_expected` predicts, under its keys."""
+    return {
+        "order": summary.group_order,
+        "phi": summary.phi,
+        "s_value": summary.s_value,
+        "subgroup_count": summary.subgroup_count,
+        "cyclic": summary.cyclic,
+        "nilpotent": summary.nilpotent,
+        "in_class_c": summary.in_class_c,
+    }
 
 
 def naive_order(table, a):

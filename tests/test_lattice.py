@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from grouptotient import (
-    IndexOutOfRangeError,
     InvalidParameterError,
     LatticeOverflowError,
     NotNormalError,
@@ -16,7 +15,6 @@ from grouptotient import (
     divisors,
     euler_phi,
     frattini,
-    generated_subgroup,
     is_nilpotent,
     is_normal,
     large_abelian_subgroup_witness,
@@ -26,7 +24,13 @@ from grouptotient import (
     sylow_subgroups,
 )
 from grouptotient.cli import main
-from naive_oracles import as_group, naive_all_subgroups, naive_cyclic_subgroups
+from naive_oracles import (
+    as_group,
+    naive_all_subgroups,
+    naive_closure,
+    naive_cyclic_subgroups,
+    naive_orders,
+)
 from test_lattice_batching import _bits
 
 ORACLE_SPECS = [
@@ -81,37 +85,40 @@ def test_cyclic_subgroups_cover_group():
         assert covered == set(range(G.order))
 
 
+def _lattice_sets(G):
+    return {frozenset(H.members.tolist()) for H in all_subgroups(G).subgroups}
+
+
 def test_generated_subgroup_examples():
+    """Subgroups generated by a seed (naive_closure) are lattice members."""
     Z12 = construct("cyclic:12")
-    triv = generated_subgroup(Z12, [])
-    assert triv.order == 1 and 0 in triv
-    H = generated_subgroup(Z12, {2})
-    assert sorted(int(m) for m in H.members) == [0, 2, 4, 6, 8, 10]
+    table = Z12.table.tolist()
+    assert naive_closure(table, []) == {0}
+    H = naive_closure(table, {2})
+    assert sorted(H) == [0, 2, 4, 6, 8, 10] and H in _lattice_sets(Z12)
     # Klein four-subgroup of the order-8 dihedral group: central rotation + reflection
     D8 = construct("dihedral:4")
-    K = generated_subgroup(D8, {2, 4})  # x^2 and y
-    assert K.order == 4
-    assert max(D8.element_order(int(m)) for m in K.members) == 2
+    K = naive_closure(D8.table.tolist(), {2, 4})  # x^2 and y
+    assert len(K) == 4 and K in _lattice_sets(D8)
+    assert max(naive_orders(D8.table.tolist())[m] for m in K) == 2
 
 
 def test_generated_subgroup_of_members_is_that_subgroup(tmp_path):
+    """Every lattice row is closed under products, in the table's dtype."""
     path = tmp_path / "a5.gens"
     path.write_text("5\n1 2 3 4 0\n1 2 0 3 4\n")
     for G in (read_permutation_generators(path), construct("dihedral:12")):
+        table = G.table.tolist()
         for H in all_subgroups(G).subgroups:
-            K = generated_subgroup(G, H.members)
-            assert K == H and K.members.tolist() == H.members.tolist(), H
-            assert K.members.dtype == G.table.dtype
+            assert naive_closure(table, H.members.tolist()) == set(H.members.tolist()), H
+            assert H.members.dtype == G.table.dtype
 
 
 def test_generated_subgroup_in_a_large_cyclic_group():
-    H = generated_subgroup(construct("cyclic:2000"), [2])
+    """The order-1000 subgroup of Z_2000 comes out of the coset walk
+    (|H| * |G| is above the gathered-chunk budget) as the even residues."""
+    (H,) = all_subgroups(construct("cyclic:2000")).of_order(1000)
     assert H.members.tolist() == list(range(0, 2000, 2))
-
-
-def test_generated_subgroup_bad_seed():
-    with pytest.raises(IndexOutOfRangeError):
-        generated_subgroup(construct("cyclic:6"), {6})
 
 
 def test_lattice_of_cyclic_group_one_subgroup_per_divisor():
@@ -158,13 +165,12 @@ def test_lattice_join_closed():
     for spec in ("dihedral:6", "abelian:2,2,2", "modular:3,3"):
         G = construct(spec)
         L = all_subgroups(G)
+        table = G.table.tolist()
         masks = {_bits(H) for H in L.subgroups}
         for A in L.subgroups:
             for B in L.subgroups:
-                joined = generated_subgroup(
-                    G, [int(m) for m in A.members] + [int(m) for m in B.members]
-                )
-                assert _bits(joined) in masks
+                joined = naive_closure(table, A.members.tolist() + B.members.tolist())
+                assert sum(1 << m for m in joined) in masks
 
 
 def test_partition_identity_over_cyclic_subgroups():
@@ -321,9 +327,10 @@ def test_subgroup_cap_below_one_is_rejected(capsys):
 def test_subgroup_as_group_induces_consistent_orders():
     G = construct("dihedral:6")
     L = all_subgroups(G)
+    orders = naive_orders(G.table.tolist())
     for H in L.subgroups:
         induced = as_group(H)
-        parent_orders = sorted(G.element_order(int(m)) for m in H.members)
+        parent_orders = sorted(orders[m] for m in H.members.tolist())
         assert sorted(induced.element_orders().tolist()) == parent_orders
 
 

@@ -1,5 +1,6 @@
 """Lattice sizes and maximal-subgroup counts at the scale edge against
-closed-form and published counts.
+closed-form and published counts, and Gauss sums of A5 and S4 against
+their subgroup classes.
 
 The expected counts come from formulas evaluated here by trial division
 and plain integer arithmetic; nothing is imported from the library's
@@ -10,7 +11,14 @@ import pytest
 
 from collections import Counter
 
-from grouptotient import all_subgroups, construct, maximal_subgroups, read_permutation_generators
+from grouptotient import (
+    all_subgroups,
+    construct,
+    gauss_sum,
+    maximal_subgroups,
+    read_permutation_generators,
+    summarize,
+)
 from grouptotient.groups import _least_generators
 from naive_oracles import naive_closure
 
@@ -55,6 +63,7 @@ PERMUTATION_GROUPS = {
     "a5": (5, [_cycle(5, [0, 1, 2, 3, 4]), _cycle(5, [0, 1, 2])]),
     "psl2_7": (8, _psl2_7()),
     "s6": (6, [_cycle(6, [0, 1, 2, 3, 4, 5]), _cycle(6, [0, 1])]),
+    "s4": (4, [_cycle(4, [0, 1, 2, 3]), _cycle(4, [0, 1])]),
 }
 
 
@@ -129,3 +138,31 @@ def test_least_generators_match_brute_force(spec):
     assert set(got) == expected
     for a, powers in got.items():
         assert powers[-1] == 0 and frozenset(powers) == cyclic[a]
+
+
+# (order, subgroups, totient of each) by subgroup class, derived by hand.
+# A5: trivial, 15 involutions, 10 C3, 5 V4, 6 C5, 10 S3, 6 D10, 5 A4, A5.
+# S4: trivial, 9 C2, 4 C3, 3 C4, 4 V4 (the normal one and a class of 3),
+# 4 S3, 3 D8, A4, S4.  A totient counts the elements whose order is the
+# exponent: 3 in V4, 2 in D8 and none in S3, D10, A4, A5 or S4.
+SUBGROUP_CLASS_TABLES = {
+    "a5": [(1, 1, 1), (2, 15, 1), (3, 10, 2), (4, 5, 3), (5, 6, 4), (6, 10, 0), (10, 6, 0),
+           (12, 5, 0), (60, 1, 0)],
+    "s4": [(1, 1, 1), (2, 9, 1), (3, 4, 2), (4, 3, 2), (4, 4, 3), (6, 4, 0), (8, 3, 2),
+           (12, 1, 0), (24, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("name,count,s_value", [("a5", 59, 75), ("s4", 30, 42)])
+def test_nonabelian_gauss_sums_from_subgroup_class_tables(tmp_path, name, count, s_value):
+    rows = SUBGROUP_CLASS_TABLES[name]
+    assert sum(c for _, c, _ in rows) == count
+    assert sum(c * phi for _, c, phi in rows) == s_value
+    G = permutation_group(tmp_path, name)
+    L = all_subgroups(G)
+    assert Counter(zip((H.order for H in L.subgroups), L.totients.tolist())) == {
+        (order, phi): c for order, c, phi in rows
+    }
+    summary = summarize(G)
+    assert (len(L), gauss_sum(G, L)) == (summary.subgroup_count, summary.s_value) == (count, s_value)
+    assert summary.phi == rows[-1][2] and not summary.cyclic
