@@ -29,8 +29,12 @@ each right coset's minimum, so before joining it also requires
     min(H*a*h) over h in H (in abelian groups HaH = H*a).
 
 These are necessary conditions only; the join stays the complete test,
-so they remove joins but never change what is found.  On A6 the sweep
-runs 662 joins and abandons 318 (3,997 and 3,497 with the H*a test
+so they remove joins but never change what is found.  The same HaH
+gather says whether a normalizes H: every min(H*a*h) is a exactly when
+aH = Ha.  A normalizing a with a^2 in H is an index-2 step, <H, a> =
+H u H*a with least new element a = min(H*a), accepted with no join.  On
+A6 the sweep runs 486 joins and abandons 318 (662 and 318 with
+non-abelian index-2 steps joined; 3,997 and 3,497 with the H*a test
 alone and level 1 joined as well).
 
 The search sweeps one subgroup order at a time, smallest first; as
@@ -45,18 +49,20 @@ of up to _BATCH_LIMIT gathered entries, or, for a subgroup too large for
 one (|H| * |G| > _BATCH_LIMIT = 2^18, first above order 724 when
 |H| = |G| / 2), by walking its cosets one at a time, which costs n
 gathered entries, not |H| * n.  Both hand the same rows to the same
-filters and joins.  Abelian index-2 steps (a^2 in H, so <H, a> =
-H u H*a) are built per chunk; other candidates are joined one by one,
-by a breadth-first walk over coset names: a right coset is named by its
+filters and joins.  G itself has no child, so it is not swept.  Index-2
+steps are built per chunk; other candidates are joined one by one, by a
+breadth-first walk over coset names: a right coset is named by its
 minimum and (H*x)*s = H*(x*s), so the coset reached from H*x by a
 generator s is minima[r, x*s], and members are gathered only for a join
-that succeeds.  One lexsort per level gives the canonical order.
-The same pass counts each subgroup's totient and keeps the vector on the
-lattice, for every Gauss sum to read; it also sums the totients of the
-cyclic subgroups (those whose exponent is their order), so
-`Lattice.cyclic_sum` is |G| exactly when the lattice holds every cyclic
-subgroup.  The rank-8 elementary abelian group (417199 subgroups) takes
-2-4 s, totients included, on a 2-vCPU Xeon host.
+that succeeds.  One lexsort per level of more than one row gives the
+canonical order.  One pass after the sweep counts each subgroup's
+totient, batching consecutive rows of any widths up to _BATCH_LIMIT
+gathered element orders, and keeps the vector on the lattice, for every
+Gauss sum to read; it also sums the totients of the cyclic subgroups
+(those whose exponent is their order), so `Lattice.cyclic_sum` is |G|
+exactly when the lattice holds every cyclic subgroup.  The rank-8
+elementary abelian group (417199 subgroups) takes 2-4 s, totients
+included, on a 2-vCPU Xeon host.
 
 The lattice keeps these level matrices and the totient vector; Subgroup
 objects are built on first read, so summaries never build one, and every
@@ -75,7 +81,7 @@ from .errors import (
     NotNormalError,
     NotPrimePowerError,
 )
-from .groups import Group
+from .groups import Group, _index_dtype
 from .numtheory import factorize, integer_log, prime_power, valuation
 
 DEFAULT_MAX_SUBGROUPS = 200000
@@ -195,9 +201,6 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [()])}
     found = 1
     levels: dict[int, np.ndarray] = {}
-    element_orders = G.element_orders()
-    totients = []
-    cyclic_sum = 0
 
     def accept(block, chains):
         nonlocal found
@@ -212,14 +215,14 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
         m = min(pending)
         blocks, chains = pending.pop(m)
         level = np.concatenate(blocks)
-        # rows are sorted and of equal length, so this is Subgroup.sort_key order
-        order = np.lexsort(level.T[::-1])
-        level = level[order]
-        chains = [chains[i] for i in order.tolist()]
+        if len(level) > 1:
+            # rows are sorted and of equal length, so this is Subgroup.sort_key order
+            order = np.lexsort(level.T[::-1])
+            level = level[order]
+            chains = [chains[i] for i in order.tolist()]
         levels[m] = level
-        counts, level_cyclic_sum = _totients(level, element_orders)
-        totients += counts
-        cyclic_sum += level_cyclic_sum
+        if m == n:  # G itself has no child
+            break
         if m == 1:
             # the children of the trivial subgroup: every <a> whose least
             # non-identity element is its least generator a, one block per order
@@ -246,43 +249,66 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
             square = minima[r, squares[a]]
             keep = (minima[r, inverses[a]] >= a) & ((square == 0) | (square >= a))
             r, a, square = r[keep], a[keep], square[keep]
-            if abelian:
-                step = square == 0
-                if step.any():
-                    # index-2 step: a^2 in H, so <H, a> = H u H*a, and a = min(H*a) already
-                    rs, bs = r[step], a[step]
-                    accept(
-                        np.sort(np.concatenate([block[rs], table[block[rs], bs[:, None]]], axis=1), axis=1),
-                        [chains[start + i] + (b,) for i, b in zip(rs.tolist(), bs.tolist())],
-                    )
-                r, a = r[~step], a[~step]
+            if abelian:  # every a normalizes H, and HaH = H*a
+                normal = np.ones(len(a), dtype=bool)
             else:
-                # HaH = H*a when abelian; otherwise min(HaH) is the least min(H*a*h), h in H
-                keep = minima[r[:, None], table[a[:, None], block[r]]].min(axis=1) >= a
-                r, a = r[keep], a[keep]
-            for i, b in zip(r.tolist(), a.tolist()):
+                # hah[k, h] = min(H*a*h), so min(HaH) is the row minimum, and
+                # every entry is a exactly when a normalizes H (aH = Ha)
+                hah = minima[r[:, None], table[a[:, None], block[r]]]
+                keep = hah.min(axis=1) >= a
+                r, a, square = r[keep], a[keep], square[keep]
+                normal = hah[keep].max(axis=1) == a
+            step = normal & (square == 0)
+            if step.any():
+                # index-2 step: a normalizes H and a^2 is in H, so <H, a> =
+                # H u H*a, and a = min(H*a) already
+                rs, bs = r[step], a[step]
+                accept(
+                    np.sort(np.concatenate([block[rs], table[block[rs], bs[:, None]]], axis=1), axis=1),
+                    [chains[start + i] + (b,) for i, b in zip(rs.tolist(), bs.tolist())],
+                )
+            join = ~step
+            for i, b, nrm in zip(r[join].tolist(), a[join].tolist(), normal[join].tolist()):
                 chain = chains[start + i]
-                joined = _join_with_element(table, minima[i], chain, b, abelian)
+                joined = _join_with_element(table, minima[i], chain, b, nrm)
                 if joined is not None:  # None: b is not the least new element of the join
                     accept(joined.astype(table.dtype)[None, :], [chain + (b,)])
 
-    return Lattice(G, levels, np.concatenate(totients).astype(np.int64), cyclic_sum)
+    totients, cyclic_sum = _totients(levels, G.element_orders())
+    return Lattice(G, levels, totients, cyclic_sum)
 
 
-def _totients(level, element_orders):
-    """Each row's totient, the members whose order is the row's exponent, in
-    blocks of up to _BATCH_LIMIT gathered orders; and the sum of the totients
-    of the cyclic rows, those whose exponent is the row length m (their
-    totient is phi(m))."""
-    m = level.shape[1]
+def _totients(levels, element_orders):
+    """Each row's totient, the members whose order is the row's exponent, and
+    the sum of the totients of the cyclic rows, those whose exponent is their
+    length m (their totient is phi(m)).  Element orders are gathered in the
+    narrowest dtype that holds |G| (the exponent divides |G|)."""
+    orders = element_orders.astype(_index_dtype(len(element_orders) + 1))
     counts, cyclic_sum = [], 0
-    per_block = max(1, _BATCH_LIMIT // m)
-    for start in range(0, len(level), per_block):
-        orders = element_orders[level[start : start + per_block]]
-        exponents = np.lcm.reduce(orders, axis=1)
-        counts.append(np.count_nonzero(orders == exponents[:, None], axis=1))
-        cyclic_sum += int(counts[-1][exponents == m].sum())
-    return counts, cyclic_sum
+    for batch in _row_batches(levels):
+        widths = np.repeat([block.shape[1] for block in batch], [len(block) for block in batch])
+        gathered = orders[np.concatenate(batch, axis=None)]
+        starts = np.cumsum(widths) - widths
+        exponents = np.lcm.reduceat(gathered, starts)
+        counts.append(np.add.reduceat(gathered == np.repeat(exponents, widths), starts, dtype=np.int64))
+        cyclic_sum += int(counts[-1][exponents == widths].sum())
+    return np.concatenate(counts), cyclic_sum
+
+
+def _row_batches(levels):
+    """Consecutive blocks of rows, of any widths, in lattice order, each batch
+    up to _BATCH_LIMIT entries (a wider row alone)."""
+    batch, size = [], 0
+    for m, level in levels.items():
+        per_block = max(1, _BATCH_LIMIT // m)
+        for start in range(0, len(level), per_block):
+            block = level[start : start + per_block]
+            if batch and size + block.size > _BATCH_LIMIT:
+                yield batch
+                batch, size = [], 0
+            batch.append(block)
+            size += block.size
+    yield batch
 
 
 def _coset_minima(table, members):
@@ -296,17 +322,17 @@ def _coset_minima(table, members):
     return row
 
 
-def _join_with_element(table, minima, gens, a, abelian):
+def _join_with_element(table, minima, gens, a, normal):
     """Sorted members of <H, a>, given minima[x] = min(H*x) and a generating
     set for H; None as soon as a coset added after H*a has its minimum below a.
 
     Dimino-style coset closure over coset names: a right coset is named by
     its minimum, and (H*x)*s = H*(x*s), so cosets are added until the
     named ones are closed under the generators, and members are gathered
-    only for a join that succeeds.  In abelian groups H<a> is the union of
-    the cosets H*a^k, so a alone is enough.
+    only for a join that succeeds.  When a normalizes H, H<a> is the union
+    of the cosets H*a^k, so a alone is enough.
     """
-    gens = [a] if abelian else [*gens, a]
+    gens = [a] if normal else [*gens, a]
     seen = {0, a}
     names = [a]
     for x in names:  # breadth first: names grows while it is read

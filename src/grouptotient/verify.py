@@ -55,7 +55,7 @@ from .totient import (
     dihedral_totient,
     fixed_point_free_decomposition,
     gauss_sum,
-    group_totient,
+    group_totient,  # not called here; perfbench/spans.py wraps it in this namespace by name
     semidirect_gauss_sum,
     two_group_gauss_sum,
 )
@@ -161,7 +161,7 @@ def inclusion_exclusion_residual(G: Group, L: Lattice) -> tuple[int, int]:
     maxima = maximal_subgroups(L)
     lhs = gauss_sum(G, L)
     rhs = (
-        group_totient(G)
+        int(L.totients[-1])
         + sum(subgroup_gauss_sum_from_lattice(L, M) for M in maxima)
         - p * subgroup_gauss_sum_from_lattice(L, frattini(L))
     )

@@ -14,7 +14,6 @@ from grouptotient import (
     construct,
     cyclic_totient_sum,
     dihedral_gauss_sum,
-    euler_phi,
     gauss_sum,
     inclusion_exclusion_residual,
     pq_group_spec,
@@ -22,7 +21,6 @@ from grouptotient import (
     run_scan,
     run_suite,
     subgroup_is_cyclic,
-    summarize_spec,
     two_group_gauss_sum,
     verify_classical_gauss,
     write_cayley_table,

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from grouptotient import (
-    GaussSummary,
     IdentityNotZeroError,
     NotAGroupError,
     NotAPermutationError,

@@ -1,6 +1,5 @@
 """Subgroup lattice enumeration against the pairwise-join fixed-point oracle."""
 
-import numpy as np
 import pytest
 
 from grouptotient import (

@@ -142,23 +142,27 @@ def test_candidates_that_cannot_be_canonical_are_never_joined(tmp_path, monkeypa
     product:(dihedral:15)x(cyclic:4) ran 164 and abandoned 33.  Level 1
     is read off the least-generator walk, so the cyclic subgroups are
     never joined (with level-1 joins, A6 ran 818 and abandoned 318, the
-    product 140 and 9).  Walked coset minima (budget 0) go through the
-    same filters as gathered ones, HaH included, so they start and
-    abandon the same joins."""
+    product 140 and 9).  A candidate a that normalizes H with a^2 in H
+    (every entry of its HaH row is a) is an index-2 step, built without a
+    join (joining them too, A6 ran 662 and the product 99); such steps are
+    always accepted, so the abandoned joins stay the same.  Walked coset
+    minima (budget 0) go through the same filters as gathered ones, HaH
+    included, so they start and abandon the same joins."""
     a6 = _from_gens(tmp_path, 6, [(1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1)])
     assert a6.order == 360
-    assert _joins(monkeypatch, a6) == (662, 318)
-    assert _joins(monkeypatch, construct("product:(dihedral:15)x(cyclic:4)")) == (99, 3)
+    assert _joins(monkeypatch, a6) == (486, 318)
+    assert _joins(monkeypatch, construct("product:(dihedral:15)x(cyclic:4)")) == (9, 3)
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
-    assert _joins(monkeypatch, a6) == (662, 318)
+    assert _joins(monkeypatch, a6) == (486, 318)
 
 
 def test_coset_walk_at_its_natural_scale(monkeypatch):
     """dihedral:400 (order 800) walks the cosets of its subgroups of order
-    400 and 800 at the default budget (|H| * |G| > 2^18); it has
-    tau(400) + sigma(400) = 15 + 961 = 976 subgroups, and every level and
-    totient equals the budget-0 lattice, where every parent but the
-    trivial subgroup (level 1 comes from the least-generator walk) is walked."""
+    400 at the default budget (|H| * |G| > 2^18); G itself has no child, so
+    it is never swept.  It has tau(400) + sigma(400) = 15 + 961 = 976
+    subgroups, and every level and totient equals the budget-0 lattice,
+    where every parent but the trivial subgroup (level 1 comes from the
+    least-generator walk) and G is walked."""
     G = construct("dihedral:400")
     walked, walk = [], lattice_mod._coset_minima
 
@@ -169,12 +173,39 @@ def test_coset_walk_at_its_natural_scale(monkeypatch):
     monkeypatch.setattr(lattice_mod, "_coset_minima", counting)
     L = all_subgroups(G)
     assert len(L) == 976
-    assert sorted(walked) == [400, 400, 400, 800]
+    assert sorted(walked) == [400, 400, 400]
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
     walked.clear()
     L0 = all_subgroups(G)
-    assert len(walked) == 975
+    assert len(walked) == 974
     assert L0.levels.keys() == L.levels.keys()
     for k, level in L.levels.items():
         assert L0.levels[k].dtype == level.dtype and np.array_equal(L0.levels[k], level), k
     assert np.array_equal(L0.totients, L.totients)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 64])
+def test_totient_pass_independent_of_its_batches(tmp_path, monkeypatch, budget):
+    """One totient pass reads every level, batching consecutive rows of
+    different widths up to _BATCH_LIMIT gathered orders; budgets of 1, 5
+    and 64 split it differently (one row per batch, rows of several
+    levels in one batch) and give the default budget's totients and cyclic
+    sum.  cyclic:256 and abelian:2,128 hold elements of order 256 and 128,
+    gathered in a dtype that holds 256, not the table's uint8."""
+    groups = {
+        "abelian:2,2,2,2,2": construct("abelian:2,2,2,2,2"),
+        "dihedral:12": construct("dihedral:12"),
+        "a5": _groups(tmp_path)["a5"],
+        "abelian:2,128": construct("abelian:2,128"),
+        "cyclic:256": construct("cyclic:256"),
+    }
+    expected = {}
+    for name, G in groups.items():
+        L = all_subgroups(G)
+        expected[name] = (L.totients.tolist(), L.cyclic_sum)
+    assert expected["cyclic:256"][0][-1] == 128 and expected["cyclic:256"][1] == 256
+    monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", budget)
+    for name, G in groups.items():
+        L = all_subgroups(G)
+        assert L.totients.dtype == np.int64, name
+        assert (L.totients.tolist(), L.cyclic_sum) == expected[name], name
