@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except GroupError as exc:
+    except (GroupError, OSError) as exc:  # OSError: an input or --out path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,17 +28,17 @@ from .numtheory import is_prime, prime_power
 DEFAULT_MAX_ORDER = 20000
 _TILE = 512  # side of the square blocks Group.is_abelian compares
 
-FAMILIES = (
-    "cyclic",
-    "abelian",
-    "dihedral",
-    "quaternion",
-    "semidihedral",
-    "modular",
-    "heisenberg",
-    "sdp",
-    "product",
-)
+# family -> (its number of parameters, the group order they give); abelian
+# and product take any number and are read by GroupSpec.order itself
+_ORDERS = {
+    "cyclic": (1, lambda n: n),
+    "dihedral": (1, lambda n: 2 * n),
+    "quaternion": (1, lambda order: order),
+    "semidihedral": (1, lambda order: order),
+    "modular": (2, lambda p, n: p**n),
+    "heisenberg": (1, lambda p: p**3),
+    "sdp": (3, lambda n, p, t: n * p),
+}
 
 
 def _index_dtype(n: int):
@@ -67,26 +67,19 @@ class GroupSpec:
         return f"{self.family}:" + ",".join(str(p) for p in self.params)
 
     def order(self) -> int:
-        """Order of the group this spec builds, computed without building it."""
+        """Order of the group this spec builds, computed without building it,
+        after checking that the spec has as many parameters as its family."""
         fam, par = self.family, self.params
-        if fam == "cyclic":
-            return par[0]
         if fam == "abelian":
             return math.prod(par)
-        if fam == "dihedral":
-            return 2 * par[0]
-        if fam in ("quaternion", "semidihedral"):
-            return par[0]
-        if fam == "modular":
-            p, n = par
-            return p**n
-        if fam == "heisenberg":
-            return par[0] ** 3
-        if fam == "sdp":
-            return par[0] * par[1]
         if fam == "product":
-            return math.prod(part.order() for part in self.params)
-        raise InvalidParameterError(f"unknown family {fam!r}")
+            return math.prod(part.order() for part in par)
+        if fam not in _ORDERS:
+            raise InvalidParameterError(f"unknown family {fam!r}")
+        count, order = _ORDERS[fam]
+        if len(par) != count:
+            raise InvalidParameterError(f"{self}: expected {count} parameter(s)")
+        return order(*par)
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -98,7 +91,7 @@ def parse_spec(text: str) -> GroupSpec:
         raise InvalidParameterError(f"malformed group spec {text!r}")
     if name == "product":
         return GroupSpec("product", tuple(_parse_product_args(rest, text)))
-    if name not in FAMILIES:
+    if name != "abelian" and name not in _ORDERS:
         raise InvalidParameterError(f"unknown group family {name!r} in {text!r}")
     try:
         params = tuple(int(tok) for tok in rest.split(","))
@@ -164,10 +157,9 @@ class Group:
         return f"Group({tag}, order={self.order})"
 
     def inverses(self) -> np.ndarray:
+        """Inverses of all elements, in the table's dtype (see :meth:`_read_walk`)."""
         if self._inverse is None:
-            inv = np.argmin(self.table, axis=1)
-            self._inverse = inv.astype(self.table.dtype)
-            self._inverse.setflags(write=False)
+            self._read_walk()
         return self._inverse
 
     def least_generators(self) -> dict[int, list[int]]:
@@ -178,19 +170,30 @@ class Group:
         return self._least
 
     def element_orders(self) -> np.ndarray:
-        """Orders of all elements, read off the least-generator walk: for a
-        least generator a of order m, the power a^k has order m / gcd(k, m)."""
+        """Orders of all elements, int64 (see :meth:`_read_walk`)."""
         if self._orders is None:
-            walks = self.least_generators().values()
-            lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
-            powers = np.fromiter(chain.from_iterable(walks), dtype=np.int64, count=int(lengths.sum()))
-            m = np.repeat(lengths, lengths)
-            k = np.arange(1, len(powers) + 1) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            orders = np.empty(self.order, dtype=np.int64)
-            orders[powers] = m // np.gcd(k, m)
-            orders.setflags(write=False)
-            self._orders = orders
+            self._read_walk()
         return self._orders
+
+    def _read_walk(self) -> None:
+        """Read every element's order and inverse off the least-generator
+        walk, both read-only: for a least generator a of order m, the power
+        a^k has order m / gcd(k, m) and inverse a^(m-k)."""
+        walks = self.least_generators().values()
+        lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
+        powers = np.fromiter(chain.from_iterable(walks), dtype=np.int64, count=int(lengths.sum()))
+        m = np.repeat(lengths, lengths)
+        start = np.repeat(np.cumsum(lengths) - lengths, lengths)  # where each walk begins
+        k = np.arange(1, len(powers) + 1) - start
+        orders = np.empty(self.order, dtype=np.int64)
+        orders[powers] = m // np.gcd(k, m)
+        # a^j sits j - 1 places into its walk, so a^(m-k) sits (m - k - 1) % m
+        # places in; the wrap keeps k = m, the identity, in place
+        inverse = np.empty(self.order, dtype=self.table.dtype)
+        inverse[powers] = powers[start + (m - k - 1) % m]
+        orders.setflags(write=False)
+        inverse.setflags(write=False)
+        self._orders, self._inverse = orders, inverse
 
     def exponent(self) -> int:
         """lcm of all element orders; divides the group order."""
@@ -267,7 +270,7 @@ def construct(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Grou
         raise OrderOverflowError(order, max_order)
     fam, par = spec.family, spec.params
     if fam == "cyclic":
-        table = _cyclic_table(*_expect_params(spec, 1))
+        table = _cyclic_table(par[0])
     elif fam == "abelian":
         if not par:
             raise InvalidParameterError(f"{spec}: abelian type needs at least one part")
@@ -275,26 +278,26 @@ def construct(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Grou
         table = reduce(_product_table, [_cyclic_table(q) for q in atype.parts])
         spec = GroupSpec("abelian", atype.parts)
     elif fam == "dihedral":
-        (n,) = _expect_params(spec, 1)
+        (n,) = par
         if n < 2:
             raise InvalidParameterError(f"{spec}: dihedral parameter must be >= 2")
         table = _metacyclic_table(n, 2, n - 1, 0)
     elif fam == "quaternion":
-        (o,) = _expect_params(spec, 1)
+        (o,) = par
         pk = prime_power(o)
         if pk is None or pk[0] != 2 or pk[1] < 3:
             raise InvalidParameterError(f"{spec}: order must be 2**n with n >= 3")
         half = o // 2
         table = _metacyclic_table(half, 2, half - 1, half // 2)
     elif fam == "semidihedral":
-        (o,) = _expect_params(spec, 1)
+        (o,) = par
         pk = prime_power(o)
         if pk is None or pk[0] != 2 or pk[1] < 4:
             raise InvalidParameterError(f"{spec}: order must be 2**n with n >= 4")
         half = o // 2
         table = _metacyclic_table(half, 2, half // 2 - 1, 0)
     elif fam == "modular":
-        p, n = _expect_params(spec, 2)
+        p, n = par
         if not is_prime(p):
             raise InvalidParameterError(f"{spec}: p must be prime")
         if n < 3 or (p == 2 and n < 4):
@@ -302,12 +305,12 @@ def construct(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Grou
             raise InvalidParameterError(f"{spec}: need n >= 3, and n >= 4 when p = 2")
         table = _metacyclic_table(p ** (n - 1), p, p ** (n - 2) + 1, 0)
     elif fam == "heisenberg":
-        (p,) = _expect_params(spec, 1)
+        (p,) = par
         if not is_prime(p) or p == 2:
             raise InvalidParameterError(f"{spec}: parameter must be an odd prime")
         table = _heisenberg_table(p)
     elif fam == "sdp":
-        n, p, t = _expect_params(spec, 3)
+        n, p, t = par
         if n < 1 or not is_prime(p):
             raise InvalidParameterError(f"{spec}: need n >= 1 and p prime")
         if math.gcd(n, p) != 1:
@@ -321,18 +324,10 @@ def construct(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Grou
     elif fam == "product":
         factors = [construct(part, max_order=max_order) for part in par]
         return direct_product(factors, max_order=max_order)
-    else:
-        raise InvalidParameterError(f"unknown family {fam!r}")
     G = Group(table, spec=spec)
     if fam in ("cyclic", "abelian"):
         G._abelian = True  # known, so is_abelian need not compare the table with its transpose
     return G
-
-
-def _expect_params(spec: GroupSpec, k: int) -> tuple:
-    if len(spec.params) != k:
-        raise InvalidParameterError(f"{spec}: expected {k} parameter(s)")
-    return spec.params
 
 
 def direct_product(factors: list[Group], max_order: int = DEFAULT_MAX_ORDER) -> Group:

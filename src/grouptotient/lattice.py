@@ -192,10 +192,7 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     least = list(walks)
     keys[least] = least
     squares = np.diagonal(table)
-    # inverses of the least generators, the only ones read: a^-1 = a^(m-1), the
-    # power before the identity (the walk of the identity, first, is [0])
-    inverses = np.zeros(n, dtype=np.int64)
-    inverses[least[1:]] = [powers[-2] for powers in list(walks.values())[1:]]
+    inverses = G.inverses()
     columns = np.arange(n)
     # order -> (member blocks, chains) of the subgroups found so far
     pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [()])}

@@ -5,6 +5,13 @@ independently derived count) against a brute-force value computed from
 complete lattice enumeration.  Suite output is deterministic for a given
 (suite id, params) pair: reports are byte-identical across runs.
 
+Each suite is declared once, as a row of `_SUITES`: its id, its runner and
+its parameters with their defaults.  `run_suite` rejects a parameter the
+row does not declare and one given as a scalar where the default is a
+tuple, then hands the runner a fresh `SuiteResult` and the defaults
+overlaid with the given parameters.  The scan families are likewise the
+keys of one table, `_SCAN_CORPORA`, that maps each to its corpus builder.
+
 Suites share one per-process lattice cache: `summarize_spec` and the
 suites' `_group_and_lattice` enumerate a spec's lattice once and keep,
 keyed by (spec string, subgroup cap), only its level matrices, totient
@@ -24,7 +31,7 @@ import os
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from itertools import count, repeat, takewhile
+from itertools import chain, count, product, repeat, takewhile
 
 from .catalogue import CatalogueEntry
 from .errors import (
@@ -193,59 +200,14 @@ def abelian_type_specs(max_order: int) -> list[GroupSpec]:
     """Every abelian type (one spec per isomorphism class) of order 2..max_order."""
     specs = []
     for n in range(2, max_order + 1):
-        per_prime = []
-        for p, e in sorted(factorize(n).items()):
-            per_prime.append([(p, part) for part in _partitions(e)])
-        choices = [[]]
-        for options in per_prime:
-            choices = [
-                chosen + [(p, partition)]
-                for chosen in choices
-                for (p, partition) in options
-            ]
-        for chosen in choices:
-            parts = []
-            for p, partition in chosen:
-                parts.extend(p**a for a in partition)
-            specs.append(GroupSpec("abelian", tuple(sorted(parts))))
+        # per prime p^e of n, the parts p^a of each partition of e
+        per_prime = [
+            [[p**a for a in partition] for partition in _partitions(e)]
+            for p, e in sorted(factorize(n).items())
+        ]
+        for chosen in product(*per_prime):
+            specs.append(GroupSpec("abelian", tuple(sorted(chain.from_iterable(chosen)))))
     return specs
-
-
-def family_specs(family: str, max_order: int) -> list[GroupSpec]:
-    """Built-in family corpora bounded by group order."""
-    if family == "cyclic":
-        return [GroupSpec("cyclic", (n,)) for n in range(1, max_order + 1)]
-    if family == "abelian":
-        return abelian_type_specs(max_order)
-    if family == "dihedral":
-        return [GroupSpec("dihedral", (n,)) for n in range(2, max_order // 2 + 1)]
-    if family == "dihedral2":
-        return [GroupSpec("dihedral", (n,)) for n in _doublings(4, max_order // 2)]
-    if family == "quaternion":
-        return [GroupSpec("quaternion", (o,)) for o in _doublings(8, max_order)]
-    if family == "semidihedral":
-        return [GroupSpec("semidihedral", (o,)) for o in _doublings(16, max_order)]
-    if family == "modular":
-        out = []
-        p = 2
-        while p**3 <= max_order:
-            if is_prime(p):
-                start = 4 if p == 2 else 3
-                n = start
-                while p**n <= max_order:
-                    out.append(GroupSpec("modular", (p, n)))
-                    n += 1
-            p += 1
-        return out
-    if family == "heisenberg":
-        odd = takewhile(lambda p: p**3 <= max_order, count(3, 2))
-        return [GroupSpec("heisenberg", (p,)) for p in odd if is_prime(p)]
-    if family == "nilpotent":
-        out = []
-        for sub in ("abelian", "dihedral2", "quaternion", "semidihedral", "modular", "heisenberg"):
-            out.extend(family_specs(sub, max_order))
-        return out
-    raise InvalidParameterError(f"unknown scan family {family!r}")
 
 
 def _doublings(start: int, bound: int) -> list[int]:
@@ -257,17 +219,48 @@ def _doublings(start: int, bound: int) -> list[int]:
     return out
 
 
-SCAN_FAMILIES = (
-    "cyclic",
-    "abelian",
-    "dihedral",
-    "dihedral2",
-    "quaternion",
-    "semidihedral",
-    "modular",
-    "heisenberg",
-    "nilpotent",
-)
+def _cube_primes(bound: int) -> list[int]:
+    """The primes p with p^3 <= bound, ascending."""
+    return [p for p in takewhile(lambda p: p**3 <= bound, count(2)) if is_prime(p)]
+
+
+def _one_parameter(family: str, values) -> list[GroupSpec]:
+    return [GroupSpec(family, (v,)) for v in values]
+
+
+def _modular_specs(bound: int) -> list[GroupSpec]:
+    return [
+        GroupSpec("modular", (p, n))
+        for p in _cube_primes(bound)
+        for n in takewhile(lambda n: p**n <= bound, count(4 if p == 2 else 3))
+    ]
+
+
+def _nilpotent_specs(bound: int) -> list[GroupSpec]:
+    parts = ("abelian", "dihedral2", "quaternion", "semidihedral", "modular", "heisenberg")
+    return [spec for family in parts for spec in _SCAN_CORPORA[family](bound)]
+
+
+# scan family -> the specs of its groups of order at most a bound
+_SCAN_CORPORA = {
+    "cyclic": lambda bound: _one_parameter("cyclic", range(1, bound + 1)),
+    "abelian": abelian_type_specs,
+    "dihedral": lambda bound: _one_parameter("dihedral", range(2, bound // 2 + 1)),
+    "dihedral2": lambda bound: _one_parameter("dihedral", _doublings(4, bound // 2)),
+    "quaternion": lambda bound: _one_parameter("quaternion", _doublings(8, bound)),
+    "semidihedral": lambda bound: _one_parameter("semidihedral", _doublings(16, bound)),
+    "modular": _modular_specs,
+    "heisenberg": lambda bound: _one_parameter("heisenberg", _cube_primes(bound)[1:]),  # p > 2
+    "nilpotent": _nilpotent_specs,
+}
+SCAN_FAMILIES = tuple(_SCAN_CORPORA)
+
+
+def family_specs(family: str, max_order: int) -> list[GroupSpec]:
+    """Built-in family corpora bounded by group order."""
+    if family not in _SCAN_CORPORA:
+        raise InvalidParameterError(f"unknown scan family {family!r}")
+    return _SCAN_CORPORA[family](max_order)
 
 
 def order_p_element_mod(p: int, q: int) -> int:
@@ -322,10 +315,9 @@ def _group_and_lattice(spec: GroupSpec, max_order, max_subgroups) -> tuple[Group
     return _cached_lattice(spec, max_order, max_subgroups)
 
 
-def _suite_thm3(params, max_order, max_subgroups) -> SuiteResult:
-    bound = params.get("max_order", 256)
+def _suite_thm3(result, params, max_order, max_subgroups) -> None:
+    bound = params["max_order"]
     _require_order(bound, max_order)
-    result = SuiteResult(suite_id="thm3")
     for spec in abelian_type_specs(bound):
         summary = summarize_spec(str(spec), max_order, max_subgroups)
         rank = AbelianType(spec.params).max_rank()
@@ -340,7 +332,6 @@ def _suite_thm3(params, max_order, max_subgroups) -> SuiteResult:
         else:
             actual = "S<|G|"
         result.add(str(spec), expected, actual)
-    return result
 
 
 THM4_CORPUS_DEFAULT = (
@@ -360,10 +351,8 @@ THM4_CORPUS_DEFAULT = (
 )
 
 
-def _suite_thm4(params, max_order, max_subgroups) -> SuiteResult:
-    corpus = params.get("corpus", THM4_CORPUS_DEFAULT)
-    result = SuiteResult(suite_id="thm4")
-    for spec in _parsed(corpus):
+def _suite_thm4(result, params, max_order, max_subgroups) -> None:
+    for spec in _parsed(params["corpus"]):
         pk = prime_power(spec.order())
         if pk is None or pk[1] < 4:
             raise InvalidParameterError(f"{spec}: corpus group must have order p^n, n >= 4")
@@ -376,28 +365,24 @@ def _suite_thm4(params, max_order, max_subgroups) -> SuiteResult:
         m, r = witness
         actual = "S>|G|" if s > G.order else f"violated (S={s}, |G|={G.order})"
         result.add(f"{spec}/witness-m{m}-r{r}", "S>|G|", actual)
-    return result
 
 
 THM5_M_DEFAULT = ((2, 4), (2, 5), (3, 3), (3, 4))
 
 
-def _suite_thm5(params, max_order, max_subgroups) -> SuiteResult:
-    n_max = params.get("n_max", 7)
+def _suite_thm5(result, params, max_order, max_subgroups) -> None:
+    n_max = params["n_max"]
     _require_order(2**n_max, max_order)
-    result = SuiteResult(suite_id="thm5")
-    jobs: list[tuple[str, GroupSpec, int | None]] = []
+    jobs: list[tuple[GroupSpec, int | None]] = []
     for n in range(3, n_max + 1):
-        jobs.append(("D", GroupSpec("dihedral", (2 ** (n - 1),)), two_group_gauss_sum("D", n)))
-        jobs.append(("Q", GroupSpec("quaternion", (2**n,)), two_group_gauss_sum("Q", n)))
+        jobs.append((GroupSpec("dihedral", (2 ** (n - 1),)), two_group_gauss_sum("D", n)))
+        jobs.append((GroupSpec("quaternion", (2**n,)), two_group_gauss_sum("Q", n)))
         if n >= 4:
-            jobs.append(
-                ("SD", GroupSpec("semidihedral", (2**n,)), two_group_gauss_sum("SD", n))
-            )
-    for p, n in params.get("modular", THM5_M_DEFAULT):
+            jobs.append((GroupSpec("semidihedral", (2**n,)), two_group_gauss_sum("SD", n)))
+    for p, n in params["modular"]:
         _require_order(p**n, max_order)
-        jobs.append(("M", GroupSpec("modular", (p, n)), None))
-    for family, spec, closed in jobs:
+        jobs.append((GroupSpec("modular", (p, n)), None))
+    for spec, closed in jobs:
         G, L = _group_and_lattice(spec, max_order, max_subgroups)
         s = gauss_sum(G, L)
         if closed is not None:
@@ -405,13 +390,11 @@ def _suite_thm5(params, max_order, max_subgroups) -> SuiteResult:
         lhs, rhs = inclusion_exclusion_residual(G, L)
         result.add(f"{spec}/inclusion-exclusion", lhs, rhs)
         result.add(f"{spec}/exceeds-order", True, s > G.order)
-    return result
 
 
-def _suite_thm7(params, max_order, max_subgroups) -> SuiteResult:
-    n_max = params.get("n_max", 60)
+def _suite_thm7(result, params, max_order, max_subgroups) -> None:
+    n_max = params["n_max"]
     _require_order(2 * n_max, max_order)
-    result = SuiteResult(suite_id="thm7")
     result.discrepancy_notes.append(DIHEDRAL_TOTIENT_NOTE)
     for n in range(2, n_max + 1):
         spec = GroupSpec("dihedral", (n,))
@@ -419,27 +402,22 @@ def _suite_thm7(params, max_order, max_subgroups) -> SuiteResult:
         result.add(f"{spec}/membership", n % 2 == 1, summary.in_class_c)
         result.add(f"{spec}/totient-closed-form", summary.phi, dihedral_totient(n))
         result.add(f"{spec}/gauss-sum-formula", summary.s_value, dihedral_gauss_sum(n))
-    return result
 
 
-def _suite_remark_d2n(params, max_order, max_subgroups) -> SuiteResult:
-    n_max = params.get("n_max", 60)
+def _suite_remark_d2n(result, params, max_order, max_subgroups) -> None:
+    n_max = params["n_max"]
     _require_order(2 * n_max, max_order)
-    result = SuiteResult(suite_id="remark_d2n")
     for n in range(2, n_max + 1, 2):
         spec = GroupSpec("dihedral", (n,))
         summary = summarize_spec(str(spec), max_order, max_subgroups)
         result.add(str(spec), summary.s_value, dihedral_gauss_sum(n))
-    return result
 
 
-def _suite_thm8(params, max_order, max_subgroups) -> SuiteResult:
-    n_max = params.get("dihedral_max", 45)
-    pairs = params.get("pairs", PQ_PAIRS_DEFAULT)
+def _suite_thm8(result, params, max_order, max_subgroups) -> None:
+    n_max = params["dihedral_max"]
     _require_order(2 * n_max, max_order)
-    result = SuiteResult(suite_id="thm8")
     specs = [GroupSpec("dihedral", (n,)) for n in range(3, n_max + 1, 2)]
-    specs += [pq_group_spec(p, q) for p, q in pairs]
+    specs += [pq_group_spec(p, q) for p, q in params["pairs"]]
     for spec in specs:
         G, L = _group_and_lattice(spec, max_order, max_subgroups)
         witness = fixed_point_free_decomposition(G, L)
@@ -451,13 +429,10 @@ def _suite_thm8(params, max_order, max_subgroups) -> SuiteResult:
         s = gauss_sum(G, L)
         result.add(f"{spec}/formula", s, semidirect_gauss_sum(N.order, p, count))
         result.add(f"{spec}/criterion", s == N.order * p, count == N.order)
-    return result
 
 
-def _suite_example_pq(params, max_order, max_subgroups) -> SuiteResult:
-    pairs = params.get("pairs", PQ_PAIRS_DEFAULT)
-    result = SuiteResult(suite_id="example_pq")
-    for p, q in pairs:
+def _suite_example_pq(result, params, max_order, max_subgroups) -> None:
+    for p, q in params["pairs"]:
         spec = pq_group_spec(p, q)
         G, L = _group_and_lattice(spec, max_order, max_subgroups)
         s = gauss_sum(G, L)
@@ -465,7 +440,6 @@ def _suite_example_pq(params, max_order, max_subgroups) -> SuiteResult:
         result.add(f"{spec}/subgroup-count", q + 3, len(L))
         N = L.of_order(q)[0]
         result.add(f"{spec}/complement-count", q, len(complements(G, N, L)))
-    return result
 
 
 PROP1_PAIRS_DEFAULT = (
@@ -492,18 +466,15 @@ PROP1_PAIRS_DEFAULT = (
 )
 
 
-def _suite_prop1(params, max_order, max_subgroups) -> SuiteResult:
-    pairs = params.get("pairs", PROP1_PAIRS_DEFAULT)
-    result = SuiteResult(suite_id="prop1")
-    for left, right in pairs:
+def _suite_prop1(result, params, max_order, max_subgroups) -> None:
+    for left, right in params["pairs"]:
         s_left = summarize_spec(left, max_order, max_subgroups)
         s_right = summarize_spec(right, max_order, max_subgroups)
         if math.gcd(s_left.group_order, s_right.group_order) != 1:
             raise InvalidParameterError(f"factors {left} and {right} have non-coprime orders")
-        product = f"product:({left})x({right})"
-        s_prod = summarize_spec(product, max_order, max_subgroups)
-        result.add(product, s_left.s_value * s_right.s_value, s_prod.s_value)
-    return result
+        spec = f"product:({left})x({right})"
+        s_prod = summarize_spec(spec, max_order, max_subgroups)
+        result.add(spec, s_left.s_value * s_right.s_value, s_prod.s_value)
 
 
 COR2_CORPUS_DEFAULT = (
@@ -524,11 +495,9 @@ COR2_CORPUS_DEFAULT = (
 )
 
 
-def _suite_cor2(params, max_order, max_subgroups) -> SuiteResult:
-    corpus = params.get("corpus", COR2_CORPUS_DEFAULT)
-    bound = params.get("max_order", 500)
-    result = SuiteResult(suite_id="cor2")
-    for spec in _parsed(corpus):
+def _suite_cor2(result, params, max_order, max_subgroups) -> None:
+    bound = params["max_order"]
+    for spec in _parsed(params["corpus"]):
         if spec.order() > bound:
             raise RangeTooLargeError(f"{spec}: order {spec.order()} exceeds suite bound {bound}")
         G, L = _group_and_lattice(spec, max_order, max_subgroups)
@@ -536,11 +505,10 @@ def _suite_cor2(params, max_order, max_subgroups) -> SuiteResult:
         result.add(f"{spec}/nilpotent", True, nilpotent)
         if not nilpotent:  # no unique Sylow subgroups to factor over
             continue
-        product = math.prod(
+        factored = math.prod(
             subgroup_gauss_sum_from_lattice(L, subs[0]) for subs in sylow_subgroups(G, L).values()
         )
-        result.add(f"{spec}/sylow-factorization", gauss_sum(G, L), product)
-    return result
+        result.add(f"{spec}/sylow-factorization", gauss_sum(G, L), factored)
 
 
 CLOSING_CORPUS_DEFAULT = tuple(
@@ -550,10 +518,8 @@ CLOSING_CORPUS_DEFAULT = tuple(
 )
 
 
-def _suite_closing_equality(params, max_order, max_subgroups) -> SuiteResult:
-    corpus = params.get("corpus", CLOSING_CORPUS_DEFAULT)
-    result = SuiteResult(suite_id="closing_equality")
-    for spec in _parsed(corpus):
+def _suite_closing_equality(result, params, max_order, max_subgroups) -> None:
+    for spec in _parsed(params["corpus"]):
         G, L = _group_and_lattice(spec, max_order, max_subgroups)
         summary = _summary(G, L)
         # class membership is equivalent to the cyclic lower bound being attained
@@ -562,21 +528,21 @@ def _suite_closing_equality(params, max_order, max_subgroups) -> SuiteResult:
             # membership should be inherited by every subgroup
             closure = class_subgroup_closure(G, L)
             result.add(f"{spec}/subgroup-closure", True, all(member for _, member in closure))
-    return result
 
 
-# suite id -> (runner, the parameter keys it reads)
+# suite id -> (runner, the parameters it reads with their defaults); a
+# parameter whose default is a tuple must be given as a list or tuple
 _SUITES = {
-    "prop1": (_suite_prop1, ("pairs",)),
-    "cor2": (_suite_cor2, ("corpus", "max_order")),
-    "thm3": (_suite_thm3, ("max_order",)),
-    "thm4": (_suite_thm4, ("corpus",)),
-    "thm5": (_suite_thm5, ("n_max", "modular")),
-    "thm7": (_suite_thm7, ("n_max",)),
-    "thm8": (_suite_thm8, ("dihedral_max", "pairs")),
-    "example_pq": (_suite_example_pq, ("pairs",)),
-    "remark_d2n": (_suite_remark_d2n, ("n_max",)),
-    "closing_equality": (_suite_closing_equality, ("corpus",)),
+    "prop1": (_suite_prop1, {"pairs": PROP1_PAIRS_DEFAULT}),
+    "cor2": (_suite_cor2, {"corpus": COR2_CORPUS_DEFAULT, "max_order": 500}),
+    "thm3": (_suite_thm3, {"max_order": 256}),
+    "thm4": (_suite_thm4, {"corpus": THM4_CORPUS_DEFAULT}),
+    "thm5": (_suite_thm5, {"n_max": 7, "modular": THM5_M_DEFAULT}),
+    "thm7": (_suite_thm7, {"n_max": 60}),
+    "thm8": (_suite_thm8, {"dihedral_max": 45, "pairs": PQ_PAIRS_DEFAULT}),
+    "example_pq": (_suite_example_pq, {"pairs": PQ_PAIRS_DEFAULT}),
+    "remark_d2n": (_suite_remark_d2n, {"n_max": 60}),
+    "closing_equality": (_suite_closing_equality, {"corpus": CLOSING_CORPUS_DEFAULT}),
 }
 SUITE_IDS = tuple(_SUITES)
 
@@ -591,19 +557,21 @@ def run_suite(
     """Execute one verification suite over its (parameterized) corpus."""
     if suite_id not in _SUITES:
         raise UnknownSuiteError(f"unknown suite {suite_id!r}; expected one of {SUITE_IDS}")
-    runner, keys = _SUITES[suite_id]
+    runner, defaults = _SUITES[suite_id]
     params = params or {}
-    unknown = sorted(set(params) - set(keys))
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise InvalidParameterError(
-            f"suite {suite_id} has no parameter {unknown[0]!r}; it reads {', '.join(keys)}"
+            f"suite {suite_id} has no parameter {unknown[0]!r}; it reads {', '.join(defaults)}"
         )
-    for key in ("corpus", "pairs", "modular"):
-        if key in params and not isinstance(params[key], (list, tuple)):
+    for key, value in params.items():
+        if isinstance(defaults[key], tuple) and not isinstance(value, (list, tuple)):
             raise InvalidParameterError(
-                f"suite {suite_id} parameter {key!r} must be a list or tuple, got {params[key]!r}"
+                f"suite {suite_id} parameter {key!r} must be a list or tuple, got {value!r}"
             )
-    return runner(params, max_order, max_subgroups)
+    result = SuiteResult(suite_id=suite_id)
+    runner(result, {**defaults, **params}, max_order, max_subgroups)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,21 @@ def test_element_orders_match_the_power_map_sweep():
         assert np.array_equal(orders, power_map_orders(G.table)), G
 
 
+def test_inverses_read_off_the_walk():
+    """Every a times its inverse read off the least-generator walk is the
+    identity, in the table's dtype and read-only, on relabelled tables too."""
+    groups = [
+        Group(relabel(construct(spec).table, seed))
+        for spec in ("cyclic:1", "dihedral:12", "sdp:7,3,2", "quaternion:16", "abelian:2,4,8")
+        for seed in range(2)
+    ]
+    groups += [construct("cyclic:300"), construct("product:(dihedral:15)x(cyclic:4)")]
+    for G in groups:
+        inv = G.inverses()
+        assert inv.dtype == G.table.dtype and not inv.flags.writeable
+        assert not G.table[np.arange(G.order), inv].any(), G
+
+
 def test_element_order_divides_group_order():
     for spec in ALL_FAMILY_SPECS:
         G = construct(spec)
@@ -359,6 +374,9 @@ def test_order_cap_enforced():
         "sdp:7,3,1",  # trivial action
         "abelian:6",  # 6 is not a prime power
         "cyclic:0",
+        "modular:3",  # too few parameters: the count is checked before the order is read
+        "sdp:7",
+        "product:(modular:3)x(cyclic:2)",
     ],
 )
 def test_invalid_parameters_rejected(bad):

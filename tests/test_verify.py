@@ -33,6 +33,7 @@ from grouptotient.verify import (
     SUITE_MAX_SUBGROUPS,
     DIHEDRAL_TOTIENT_NOTE,
     PQ_PAIRS_DEFAULT,
+    _SUITES,
     abelian_type_specs,
     family_specs,
     subgroup_gauss_sum_from_lattice,
@@ -118,7 +119,7 @@ def test_suite_cor2_records_a_non_nilpotent_group(monkeypatch, capsys):
         ("cyclic:12/sylow-factorization", True),
     ]
     assert not result.all_pass
-    monkeypatch.setattr("grouptotient.verify.COR2_CORPUS_DEFAULT", ("dihedral:3",))
+    monkeypatch.setitem(_SUITES["cor2"][1], "corpus", ("dihedral:3",))
     assert main(["suite", "cor2"]) == 1
     assert json.loads(capsys.readouterr().out)["all_pass"] is False
 
@@ -320,6 +321,27 @@ def test_cli_error_handling(capsys):
 
 def test_cli_suite_param_validation(capsys):
     assert main(["suite", "thm7", "--param", "n_max=abc"]) == 2
+
+
+@pytest.mark.parametrize("spec", ["modular:3", "sdp:7", "product:(modular:3)x(cyclic:2)"])
+def test_spec_with_too_few_parameters_exits_2(spec, capsys):
+    assert main(["summarize", "--spec", spec]) == 2
+    assert "parameter(s)" in capsys.readouterr().err
+    with pytest.raises(InvalidParameterError, match="expected"):
+        run_suite("cor2", {"corpus": [spec]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--catalogue", "{tmp}/nonexistent"],
+        ["summarize", "--file", "{tmp}/missing.cayley"],
+        ["summarize", "--spec", "cyclic:3", "--out", "{tmp}/nodir/x.json"],
+    ],
+)
+def test_cli_unusable_path_exits_2(argv, tmp_path, capsys):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _fresh_lattice_cache(monkeypatch):
