@@ -2,10 +2,14 @@
 
 The identity is always index 0.  Constructors emit a deterministic
 canonical indexing per family, so derived artifacts (lattices, reports)
-are byte-stable across runs.  Two-generator families with presentation
-``<x, y | x^N = 1, y^m = x^s, y^-1 x y = x^t>`` index the normal form
-``x^i y^j`` as ``i + N*j``, so the cyclic part <x> occupies indices
-0..N-1 and y sits at index N.
+are byte-stable across runs.  Every non-abelian family is a cyclic
+extension N<y> of a normal subgroup N of order k by one element y; its
+normal form ``x_i y^j`` sits at index ``i + k*j``, so N occupies indices
+0..k-1 and y sits at index k.  The metacyclic families, with presentation
+``<x, y | x^N = 1, y^m = x^s, y^-1 x y = x^t>`` (dihedral, quaternion,
+semidihedral, modular, sdp), extend N = Z_N.  The Heisenberg group of
+upper unitriangular 3x3 matrices (a, b, c) over F_p extends N = Z_p^2,
+the matrices with a = 0, by y = (1, 0, 0).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .errors import (
 from .numtheory import is_prime, prime_power
 
 DEFAULT_MAX_ORDER = 20000
-_TILE = 512  # side of the square blocks Group.is_abelian compares
+_TILE = 512  # side of is_abelian's square blocks; a build block holds about _TILE**2 entries
 
 # family -> (its number of parameters, the group order they give); abelian
 # and product take any number and are read by GroupSpec.order itself
@@ -308,7 +312,10 @@ def construct(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Grou
         (p,) = par
         if not is_prime(p) or p == 2:
             raise InvalidParameterError(f"{spec}: parameter must be an odd prime")
-        table = _heisenberg_table(p)
+        # (a, b, c) = (0, b, c) y^a with y = (1, 0, 0): y (b, c) y^-1 = (b, c + b), y^p = 1
+        z = _cyclic_table(p)
+        b, c = np.divmod(np.arange(p * p), p)
+        table = _cyclic_extension(_product_table(z, z), b * p + (c + b) % p, p, 0)
     elif fam == "sdp":
         n, p, t = par
         if n < 1 or not is_prime(p):
@@ -383,31 +390,40 @@ def _metacyclic_table(big_n: int, m: int, t: int, s: int) -> np.ndarray:
         raise InvalidParameterError(
             f"inconsistent metacyclic data N={big_n}, m={m}, t={t}, s={s}"
         )
-    n = big_n * m
-    # u = t^-1 mod N moves x-powers leftward through y: y^j x^k = x^(k*u^j) y^j
+    # u = t^-1 mod N moves x-powers leftward through y: y x^i y^-1 = x^(i*u)
     u = pow(t, m - 1, big_n)
-    upow = np.array([pow(u, j, big_n) for j in range(m)], dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    i, j = idx % big_n, idx // big_n
-    ii = (i[:, None] + i[None, :] * upow[j][:, None]) % big_n
-    jj = j[:, None] + j[None, :]
-    wrap = jj >= m
-    ii[wrap] = (ii[wrap] + s) % big_n
-    jj[wrap] -= m
-    return ii + big_n * jj
+    return _cyclic_extension(_cyclic_table(big_n), np.arange(big_n) * u % big_n, m, s)
 
 
-def _heisenberg_table(p: int) -> np.ndarray:
-    """Upper unitriangular 3x3 matrices over F_p: triples (a, b, c) with
-    (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b'), indexed a*p^2 + b*p + c."""
-    n = p**3
-    idx = np.arange(n, dtype=np.int64)
-    a, rest = idx // (p * p), idx % (p * p)
-    b, c = rest // p, rest % p
-    aa = (a[:, None] + a[None, :]) % p
-    bb = (b[:, None] + b[None, :]) % p
-    cc = (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p
-    return aa * p * p + bb * p + cc
+def _cyclic_extension(inner: np.ndarray, conj: np.ndarray, m: int, s: int) -> np.ndarray:
+    """Table of N<y> on indices i + k*j for x_i y^j, where `inner` is the
+    k x k table of the normal subgroup N, conj[i] = y x_i y^-1 and y^m = x_s.
+
+    x_a y^j * x_b y^l = x_a conj^j(x_b) y^(j+l); when j + l >= m, y^m = x_s
+    joins N's part: x_a (conj^j(x_b) x_s) y^(j+l-m).  So the entry in row
+    x_a y^j and column c is inner[a, cols[j, c]] + offsets[j, c].  Rows are
+    written in blocks of about _TILE**2 entries straight into the final
+    index dtype, so nothing else of the table's size is allocated.
+    """
+    k = len(inner)
+    n = k * m
+    powers = np.empty((m, k), dtype=np.int64)  # powers[j] = conj^j
+    powers[0] = np.arange(k)
+    for j in range(1, m):
+        powers[j] = conj[powers[j - 1]]
+    jl = np.arange(m)[:, None] + np.arange(m)  # j + l
+    cols = np.where((jl >= m)[:, :, None], inner[powers, s][:, None], powers[:, None])
+    cols, offsets = cols.reshape(m, n), np.repeat(k * (jl % m), k, axis=1)
+    table = np.empty((n, n), dtype=_index_dtype(n))
+    blocks = table.reshape(m, k, n)  # [j, a, c]
+    rows = max(1, _TILE**2 // n)
+    step_j, step_a = max(1, rows // k), min(k, rows)
+    for j0 in range(0, m, step_j):
+        for a0 in range(0, k, step_a):
+            part = inner[a0 : a0 + step_a].take(cols[j0 : j0 + step_j], axis=1)  # [a, j, c]
+            out = blocks[j0 : j0 + step_j, a0 : a0 + step_a]
+            np.add(part.transpose(1, 0, 2), offsets[j0 : j0 + step_j, None], out=out, casting="unsafe")
+    return table
 
 
 # ---------------------------------------------------------------------------

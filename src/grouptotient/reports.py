@@ -11,19 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from fractions import Fraction
-
-SCAN_CSV_COLUMNS = (
-    "id",
-    "order",
-    "phi",
-    "s_value",
-    "subgroup_count",
-    "nilpotent",
-    "cyclic",
-    "in_class_c",
-)
 
 
 @dataclass(frozen=True)
@@ -72,7 +61,7 @@ class GaussSummary:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """Per-group scan record; field order matches the CSV column order."""
+    """Per-group scan record; its fields, in order, are the CSV columns."""
 
     id: str
     order: int
@@ -96,6 +85,9 @@ class ScanRow:
             cyclic=summary.cyclic,
             in_class_c=summary.in_class_c,
         )
+
+
+SCAN_CSV_COLUMNS = tuple(f.name for f in fields(ScanRow))
 
 
 @dataclass
@@ -164,10 +156,10 @@ def to_csv(result, summary_id: str = "group") -> str:
     if isinstance(result, ScanResult):
         writer.writerow(SCAN_CSV_COLUMNS)
         for row in result.rows:
-            writer.writerow(_group_row_cells(row))
+            writer.writerow(map(_cell, astuple(row)))
     elif isinstance(result, GaussSummary):
         writer.writerow(SCAN_CSV_COLUMNS)
-        writer.writerow(_group_row_cells(ScanRow.of(summary_id, result)))
+        writer.writerow(map(_cell, astuple(ScanRow.of(summary_id, result))))
     elif isinstance(result, SuiteResult):
         writer.writerow(("suite_id", "case_id", "expected", "actual", "pass"))
         for case in result.cases:
@@ -183,19 +175,6 @@ def to_csv(result, summary_id: str = "group") -> str:
     else:
         raise TypeError(f"cannot render {type(result).__name__} as CSV")
     return buf.getvalue()
-
-
-def _group_row_cells(row: ScanRow) -> tuple:
-    return (
-        row.id,
-        row.order,
-        row.phi,
-        row.s_value,
-        row.subgroup_count,
-        _bool_cell(row.nilpotent),
-        _bool_cell(row.cyclic),
-        _bool_cell(row.in_class_c),
-    )
 
 
 def _cell(value) -> str:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import chain, count, product, repeat, takewhile
 
@@ -625,6 +624,8 @@ def run_scan(
         raise InvalidParameterError(f"duplicate corpus id {dup!r}")
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: ~19 ms to import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(_scan_item, items, repeat(max_order), repeat(max_subgroups))

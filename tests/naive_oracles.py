@@ -15,10 +15,15 @@ builds a library object: the induced group on a subgroup's members.
 `abelian_expected` is the benchmark's closed-form oracle for abelian
 groups (Birkhoff's subgroup counts), loaded from ``perfbench/oracles.py``
 by path; `summary_fields` puts a library summary under its keys.
+`reference_groups` is the frozen copy of the group constructors in
+``perfbench/reference/``, loaded by path and only read, whose tables the
+library's must match byte for byte.
 """
 
+import importlib
 import importlib.util
 import random
+import sys
 from math import gcd
 from pathlib import Path
 
@@ -31,6 +36,14 @@ _spec = importlib.util.spec_from_file_location("perfbench_oracles", _ORACLES)
 _module = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_module)
 abelian_expected = _module.abelian_expected
+
+_REFERENCE = _ORACLES.parent / "reference"
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_reference", _REFERENCE / "__init__.py", submodule_search_locations=[str(_REFERENCE)]
+)
+sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sys.modules[_spec.name])
+reference_groups = importlib.import_module("perfbench_reference.groups")
 
 
 def summary_fields(summary):

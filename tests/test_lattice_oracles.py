@@ -14,10 +14,13 @@ from collections import Counter
 from grouptotient import (
     all_subgroups,
     construct,
+    dihedral_gauss_sum,
+    dihedral_totient,
     gauss_sum,
     maximal_subgroups,
     read_permutation_generators,
     summarize,
+    two_group_gauss_sum,
 )
 from grouptotient.groups import _least_generators
 from naive_oracles import naive_closure
@@ -99,6 +102,22 @@ def test_dihedral_lattice_sizes_follow_cavior():
         L = all_subgroups(construct(f"dihedral:{n}"))
         assert len(L) == len(divs) + sum(divs), n
         assert len(maximal_subgroups(L)) == 1 + sum(_prime_divisors(n)), n
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_dihedral_closed_forms_at_the_scale_edge(n):
+    # orders 2000 and 4000: Cavior's count and the paper's closed forms for
+    # the totient and the Gauss sum, against the enumerated lattice
+    divs = _divisors(n)
+    summary = summarize(construct(f"dihedral:{n}"))
+    assert summary.subgroup_count == len(divs) + sum(divs)
+    assert summary.phi == dihedral_totient(n)
+    assert summary.s_value == dihedral_gauss_sum(n)
+
+
+@pytest.mark.parametrize("family,spec", [("D", "dihedral:2048"), ("Q", "quaternion:4096"), ("SD", "semidihedral:4096")])
+def test_two_group_gauss_sums_at_order_4096(family, spec):
+    assert summarize(construct(spec)).s_value == two_group_gauss_sum(family, 12)
 
 
 @pytest.mark.parametrize("p,r", [(2, 7), (3, 4)])

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,6 +580,8 @@ def test_cli_max_order_caps_ingested_files(tmp_path, capsys):
 def _inline_pool(monkeypatch, cpus):
     """Replace the scan's process pool with one that records max_workers
     and maps in this process, on a host reporting `cpus` CPUs."""
+    import concurrent.futures
+
     import grouptotient.verify as verify_mod
 
     started = []
@@ -593,7 +599,7 @@ def _inline_pool(monkeypatch, cpus):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cpus)
     return started
 
@@ -615,6 +621,14 @@ def test_scan_runs_in_process_when_one_worker_is_left(monkeypatch, cpus):
     assert canonical_json(run_scan(corpus, jobs=100000)) == canonical_json(run_scan(corpus))
     assert canonical_json(run_scan(corpus[:1], jobs=2)) == canonical_json(run_scan(corpus[:1]))
     assert started == []
+
+
+def test_the_process_pool_is_imported_only_for_several_jobs():
+    # concurrent.futures.process takes about 19 ms to import; a run with one job skips it
+    code = "import sys, grouptotient.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
