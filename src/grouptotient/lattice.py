@@ -43,14 +43,14 @@ changes nothing found.  Level 1 is read off the least-generator walk:
 the children of the trivial subgroup are the <a> whose least
 non-identity element is their least generator a, taken as one block per
 order with no candidate sweep and no join.  Every larger level's members
-form one matrix, swept in chunks, and each chunk yields the right-coset
-minima minima[r, x] = min(H_r*x): as table[block].min(axis=1) for chunks
-of up to _BATCH_LIMIT gathered entries, or, for a subgroup too large for
-one (|H| * |G| > _BATCH_LIMIT = 2^18, first above order 724 when
-|H| = |G| / 2), by walking its cosets one at a time, which costs n
-gathered entries, not |H| * n.  Both hand the same rows to the same
-filters and joins.  G itself has no child, so it is not swept.  Index-2
-steps are built per chunk; other candidates are joined one by one, by a
+form one matrix, swept in chunks of up to _BATCH_LIMIT = 2^18 gathered
+entries, and each chunk yields the right-coset minima
+minima[r, x] = min(H_r*x) by one min-reduction over table[block]; a
+subgroup too large for one chunk (|H| * |G| > 2^18, first above order
+724 when |H| = |G| / 2) is reduced over slices of its members, each of
+at most 2^18 gathered entries.  `is_normal` gathers conjugates over the
+same slices.  G itself has no child, so it is not swept.  Index-2 steps
+are built per chunk; other candidates are joined one by one, by a
 breadth-first walk over coset names: a right coset is named by its
 minimum and (H*x)*s = H*(x*s), so the coset reached from H*x by a
 generator s is minima[r, x*s], and members are gathered only for a join
@@ -72,6 +72,8 @@ entry, the row of G itself, is the group totient that summaries report.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -175,7 +177,7 @@ def cyclic_subgroups(G: Group) -> list[Subgroup]:
     return sorted(subs, key=Subgroup.sort_key)
 
 
-_BATCH_LIMIT = 1 << 18  # elements of table[members] gathered per chunk; 0 forces the coset walk
+_BATCH_LIMIT = 1 << 18  # elements of table[members] gathered at once; 0 gathers one member at a time
 
 
 def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Lattice:
@@ -233,13 +235,15 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
             for rows, firsts in by_order.values():
                 accept(np.array(rows, dtype=table.dtype), firsts)
             continue
-        rows = _BATCH_LIMIT // (m * n)
+        rows = max(1, _BATCH_LIMIT // (m * n))
+        width = max(1, _BATCH_LIMIT // n)
         lasts = np.array([chain[-1] for chain in chains])
-        for start in range(0, len(level), max(rows, 1)):
-            block = level[start : start + max(rows, 1)]
-            # minima[r, x] = min(H_r * x), which is 0 exactly for x in H_r: a
-            # chunk gathers table[block] whole, a subgroup too large for one walks its cosets
-            minima = table[block].min(axis=1) if rows else _coset_minima(table, block[0])[None, :]
+        for start in range(0, len(level), rows):
+            block = level[start : start + rows]
+            # minima[r, x] = min(H_r * x), which is 0 exactly for x in H_r,
+            # reduced over slices of at most `width` members (one slice unless one row fills the chunk)
+            slices = (table[block[:, j : j + width]].min(axis=1) for j in range(0, m, width))
+            minima = reduce(np.minimum, slices)
             r, a = np.nonzero((minima == keys) & (columns > lasts[start : start + len(block), None]))
             # a is canonical only if no part of <H, a> outside H lies below it:
             # not H*a^-1, not H*a^2 unless a^2 is in H, and not the double coset HaH
@@ -308,17 +312,6 @@ def _row_batches(levels):
     yield batch
 
 
-def _coset_minima(table, members):
-    """min(H*x) for every x, one right coset at a time: n gathered entries,
-    where table[members].min(axis=0) gathers |H| * n."""
-    row = np.full(len(table), -1, dtype=np.int64)
-    x = 0
-    while row[x] < 0:  # the identity's coset H is named 0, so argmin is 0 once all are
-        row[table[members, x]] = x
-        x = int(row.argmin())
-    return row
-
-
 def _join_with_element(table, minima, gens, a, normal):
     """Sorted members of <H, a>, given minima[x] = min(H*x) and a generating
     set for H; None as soon as a coset added after H*a has its minimum below a.
@@ -366,16 +359,20 @@ def frattini(L: Lattice) -> Subgroup:
 
 
 def is_normal(G: Group, H: Subgroup) -> bool:
-    """True iff g H g^-1 = H for every g."""
+    """True iff g H g^-1 = H for every g.  Conjugation is a bijection, so
+    g H g^-1 inside H is enough; the conjugates are gathered over slices of
+    H's members, at most _BATCH_LIMIT of them at once, as the sweep does."""
     if G.is_abelian():
         return True
     table = G.table
-    inv = G.inverses()
+    inv = G.inverses()[:, None]
     members = H.members
-    gh = table[:, members]                      # gh[g, i] = g * h_i
-    conj = table[gh, inv[:, None]]              # conj[g, i] = g * h_i * g^-1
-    conj.sort(axis=1)
-    return bool((conj == np.asarray(members)[None, :]).all())
+    inside = np.zeros(G.order, dtype=bool)
+    inside[members] = True
+    width = max(1, _BATCH_LIMIT // G.order)
+    # table[table[g, h], inv[g]] = g * h * g^-1
+    slices = (table[:, members[j : j + width]] for j in range(0, len(members), width))
+    return all(inside[table[gh, inv]].all() for gh in slices)
 
 
 def complements(G: Group, N: Subgroup, L: Lattice) -> list[Subgroup]:

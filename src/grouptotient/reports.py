@@ -1,9 +1,8 @@
 """Machine-readable result records and their canonical JSON/CSV renderings.
 
 All report values are exact: integers, booleans, and strings only.
-Rational values, should any ever reach a report, are rendered as
-``"p/q"`` strings; floats are rejected outright so byte-identical
-reports are guaranteed across runs.
+Floats, fractions and any other type are rejected outright, so
+byte-identical reports are guaranteed across runs.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import csv
 import io
 import json
 from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,6 @@ def to_jsonable(value):
         return value
     if isinstance(value, float):
         raise TypeError("reports must not contain floating-point values")
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if isinstance(value, str):
         return value
     if isinstance(value, SuiteCase):

@@ -7,12 +7,12 @@ exactly for the class of groups tracked by the summaries' `in_class_c`
 flag, which for cyclic groups is the classical divisor identity.  The
 per-subgroup totients are counted once, in the lattice pass
 (`Lattice.totients`); the sums here read them rather than count again.
+Every closed form is evaluated in integers.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -92,19 +92,18 @@ def dihedral_totient(n: int) -> int:
 def dihedral_gauss_sum(n: int) -> int:
     """Gauss sum of the dihedral group of order 2n: 2n for odd n, else
     3n + (k*n/2) * prod(a_i + 1 - a_i/p_i) over the odd part m = prod p_i^a_i
-    of n = 2^k * m, evaluated in exact rational arithmetic."""
+    of n = 2^k * m, evaluated in integers: each factor is
+    ((a_i + 1)*p_i - a_i)/p_i, and prod p_i divides n/2."""
     if n < 2:
         raise InvalidParameterError(f"dihedral parameter must be >= 2, got {n}")
     k = valuation(n, 2)
     if k == 0:
         return 2 * n
-    m = n >> k
-    product = Fraction(1)
-    for p, a in factorize(m).items():
-        product *= Fraction(a + 1) - Fraction(a, p)
-    total = 3 * n + Fraction(k * n, 2) * product
-    assert total.denominator == 1, "the rational correction always yields an integer"
-    return int(total)
+    primes, numerator = 1, 1
+    for p, a in factorize(n >> k).items():
+        primes *= p
+        numerator *= (a + 1) * p - a
+    return 3 * n + k * (n // 2 // primes) * numerator
 
 
 TWO_GROUP_FAMILIES = ("D", "Q", "SD")

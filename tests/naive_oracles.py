@@ -138,6 +138,14 @@ def naive_closure(table, seed):
     return frozenset(members)
 
 
+def naive_is_normal(table, members):
+    """g*h*g^-1 lies in H for every g in the group and h in H."""
+    n = len(table)
+    inverse = [next(y for y in range(n) if table[x][y] == 0) for x in range(n)]
+    inside = set(members)
+    return all(table[table[g][h]][inverse[g]] in inside for g in range(n) for h in members)
+
+
 def naive_cyclic_subgroups(table):
     subs = set()
     for a in range(len(table)):

@@ -1,7 +1,11 @@
 """File ingestion: Cayley tables, permutation generators, report writing."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,12 +366,26 @@ def test_canonical_json_is_sorted_and_integer_only():
 
 
 def test_fraction_rendering():
+    """Reports hold integers, booleans and strings; a fraction is rejected
+    as a float is, whole or not."""
     from fractions import Fraction
 
     from grouptotient.reports import to_jsonable
 
-    assert to_jsonable(Fraction(5, 3)) == "5/3"
-    assert to_jsonable(Fraction(6, 3)) == "2"
+    for value in (Fraction(5, 3), Fraction(6, 3)):
+        with pytest.raises(TypeError):
+            to_jsonable(value)
+        with pytest.raises(TypeError):
+            canonical_json({"value": value})
+
+
+def test_the_cli_imports_no_rational_arithmetic():
+    # every closed form is evaluated in integers, so fractions (and the decimal
+    # module it loads) stay unimported
+    code = "import sys, grouptotient.cli; print('fractions' in sys.modules, 'decimal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "False False\n"
 
 
 def test_scan_csv_golden_row_for_order_12_dihedral():

@@ -114,8 +114,9 @@ def test_generated_subgroup_of_members_is_that_subgroup(tmp_path):
 
 
 def test_generated_subgroup_in_a_large_cyclic_group():
-    """The order-1000 subgroup of Z_2000 comes out of the coset walk
-    (|H| * |G| is above the gathered-chunk budget) as the even residues."""
+    """The order-1000 subgroup of Z_2000 comes out of a parent reduced over
+    slices of its members (|H| * |G| is above the gathered-chunk budget) as
+    the even residues."""
     (H,) = all_subgroups(construct("cyclic:2000")).of_order(1000)
     assert H.members.tolist() == list(range(0, 2000, 2))
 
@@ -346,8 +347,9 @@ def test_whole_group_as_group_is_parent_table():
 
 
 def test_fallback_coset_scan_matches_batch(monkeypatch):
-    """Budget 0 walks every subgroup's cosets (the path of very large
-    subgroups): the walked minima must reproduce the gathered ones exactly."""
+    """Budget 0 reduces every subgroup's coset minima one member at a time
+    (the slices very large subgroups take): they must reproduce the
+    minima gathered in whole chunks exactly."""
     import grouptotient.lattice as lattice_mod
 
     specs = ["cyclic:24", "dihedral:6", "quaternion:16", "abelian:2,2,4", "heisenberg:3", "sdp:7,3,2"]
@@ -363,7 +365,7 @@ def test_fallback_coset_scan_matches_batch(monkeypatch):
 
 
 def test_fallback_coset_scan_matches_batch_on_permutation_groups(tmp_path, monkeypatch):
-    """The same check of walked against gathered coset minima on
+    """The same check of member-sliced against whole-chunk coset minima on
     non-abelian groups ingested from .gens, where every extension is a join."""
     import grouptotient.lattice as lattice_mod
 

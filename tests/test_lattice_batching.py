@@ -52,10 +52,10 @@ def _records(L):
 
 def test_level_sweep_independent_of_chunk_budget(tmp_path, monkeypatch):
     """The default budget, one parent per chunk (4 * |G|: order-4 parents
-    one at a time, larger ones through the coset walk), and budget 0 (the
-    coset minima of every parent walked, not gathered, and the totient pass
-    one row per block) give the same subgroups, members, bitsets and
-    totients, in sort_key order."""
+    one at a time, larger ones over slices of their members), and budget 0
+    (the coset minima of every parent reduced one member at a time, and
+    the totient pass one row per block) give the same subgroups, members,
+    bitsets and totients, in sort_key order."""
     groups = _groups(tmp_path)
     expected = {name: _records(all_subgroups(G)) for name, G in groups.items()}
     assert len(expected["abelian:2,2,2,2,2"]) == 374
@@ -156,28 +156,19 @@ def test_candidates_that_cannot_be_canonical_are_never_joined(tmp_path, monkeypa
     assert _joins(monkeypatch, a6) == (486, 318)
 
 
-def test_coset_walk_at_its_natural_scale(monkeypatch):
-    """dihedral:400 (order 800) walks the cosets of its subgroups of order
-    400 at the default budget (|H| * |G| > 2^18); G itself has no child, so
-    it is never swept.  It has tau(400) + sigma(400) = 15 + 961 = 976
-    subgroups, and every level and totient equals the budget-0 lattice,
-    where every parent but the trivial subgroup (level 1 comes from the
-    least-generator walk) and G is walked."""
+def test_member_slices_at_their_natural_scale(monkeypatch):
+    """dihedral:400 (order 800) reduces the coset minima of its subgroups of
+    order 400 over slices of their members at the default budget
+    (|H| * |G| > 2^18); G itself has no child, so it is never swept.  It
+    has tau(400) + sigma(400) = 15 + 961 = 976 subgroups, and every level
+    and totient equals the budget-0 lattice, where every parent is reduced
+    one member at a time."""
     G = construct("dihedral:400")
-    walked, walk = [], lattice_mod._coset_minima
-
-    def counting(table, members):
-        walked.append(len(members))
-        return walk(table, members)
-
-    monkeypatch.setattr(lattice_mod, "_coset_minima", counting)
     L = all_subgroups(G)
     assert len(L) == 976
-    assert sorted(walked) == [400, 400, 400]
+    assert len(L.levels[400]) == 3 and 400 * G.order > lattice_mod._BATCH_LIMIT
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
-    walked.clear()
     L0 = all_subgroups(G)
-    assert len(walked) == 974
     assert L0.levels.keys() == L.levels.keys()
     for k, level in L.levels.items():
         assert L0.levels[k].dtype == level.dtype and np.array_equal(L0.levels[k], level), k

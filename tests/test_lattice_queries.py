@@ -11,11 +11,12 @@ from grouptotient import (
     cyclic_subgroups,
     frattini,
     gauss_sum,
+    is_normal,
     maximal_subgroups,
 )
 from grouptotient.verify import _summary, subgroup_gauss_sum_from_lattice
-from naive_oracles import as_group
-from test_lattice_batching import _bits, _groups
+from naive_oracles import as_group, naive_is_normal
+from test_lattice_batching import _bits, _from_gens, _groups
 
 
 def test_contained_in_is_set_containment(tmp_path):
@@ -114,3 +115,36 @@ def test_frattini_is_the_lattice_member_cut_out_by_the_maxima(tmp_path):
         F = frattini(L)
         assert any(F is H for H in L.subgroups), name
         assert _bits(F) == reduce(and_, (_bits(M) for M in maximal_subgroups(L))), name
+
+
+def test_is_normal_matches_the_naive_conjugation_test(tmp_path, monkeypatch):
+    """Every subgroup of six non-abelian groups, at the default budget and
+    at budget 0, where each member's conjugates are gathered alone."""
+    groups = [construct(spec) for spec in ("dihedral:6", "quaternion:16", "heisenberg:3", "sdp:7,3,2")]
+    groups.append(_from_gens(tmp_path, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]))  # S4
+    groups.append(_groups(tmp_path)["a5"])
+    for G in groups:
+        table = G.table.tolist()
+        subgroups = all_subgroups(G).subgroups
+        expected = [naive_is_normal(table, H.members.tolist()) for H in subgroups]
+        assert 2 < sum(expected) < len(subgroups) or G.order == 60, G
+        for budget in (lattice_mod._BATCH_LIMIT, 0):
+            monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", budget)
+            assert [is_normal(G, H) for H in subgroups] == expected, (G, budget)
+
+
+def test_is_normal_gathers_in_bounded_memory():
+    """The three index-2 subgroups of dihedral:2000 (order 4000) are normal,
+    and testing each peaks under 4 MiB traced, not at |G| * |H| products."""
+    G = construct("dihedral:2000")
+    halves = all_subgroups(G).of_order(2000)
+    G.inverses()
+    assert len(halves) == 3
+    for H in halves:
+        tracemalloc.start()
+        try:
+            assert is_normal(G, H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak

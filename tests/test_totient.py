@@ -155,6 +155,26 @@ def test_dihedral_gauss_sum_exact_rational_arithmetic():
     assert s_of("dihedral:12") == 56
 
 
+def test_dihedral_gauss_sum_equals_the_rational_product():
+    """The integer evaluation equals 3n + (kn/2) * prod(a + 1 - a/p), taken
+    in rationals, for every n from 2 to 5000 (2n for odd n)."""
+    from fractions import Fraction
+
+    for n in range(2, 5001):
+        m, k = n, 0
+        while m % 2 == 0:
+            m, k = m // 2, k + 1
+        product, p = Fraction(1), 3
+        while m > 1:  # trial division of the odd part
+            a = 0
+            while m % p == 0:
+                m, a = m // p, a + 1
+            product *= a + 1 - Fraction(a, p)
+            p = p + 2 if p * p <= m else m
+        expected = 3 * n + Fraction(k * n, 2) * product if k else Fraction(2 * n)
+        assert expected.denominator == 1 and dihedral_gauss_sum(n) == expected, n
+
+
 def test_fixed_point_free_decomposition_examples():
     D18 = construct("dihedral:9")
     w = fixed_point_free_decomposition(D18, all_subgroups(D18))
