@@ -5,7 +5,9 @@ holds the order n; lines 2..n+1 hold n space-separated indices in
 0..n-1, row a listing a*0, a*1, ..., a*(n-1).  Row and column 0 must be
 the identity; the table is fully validated (identity, Latin square,
 associativity) before a group is returned.  Line 1 is read alone, so an
-order over the cap is refused before the body is read.
+order over the cap is refused before the body is read.  The file is read
+once: a bad row is located on the line where it is read, in the memory of
+a well-formed read, and reported once the rows are counted.
 
 Permutation-generator files (``.gens``): line 1 holds the degree d;
 every following non-empty line is one generator, written as d
@@ -52,64 +54,65 @@ def read_cayley_table(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     `max_order` is refused after reading line 1 alone.  The body is read
     one line at a time into a table already in the group's index dtype."""
     with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        head = first.removesuffix("\n")
-        if not head and not handle.read().strip("\n"):
-            raise ParseError("empty file", 1)
-        try:
-            n = int(head.strip())
-        except ValueError:
-            raise ParseError(f"expected an integer order, got {head!r}", 1) from None
-        if n < 1:
-            raise ParseError(f"order must be >= 1, got {n}", 1)
+        n = _read_header(handle, "order")
         if n > max_order:
             raise OrderOverflowError(n, max_order)
-        # numpy parses each token as int() does, a row at a time; only on a
-        # failure or an out-of-range entry is the file read again to locate it
         table = np.empty((n, n), dtype=_index_dtype(n))
         row = np.empty(n, dtype=np.int64)
-        parsed = True
+        error = None  # the first bad row's, raised once the rows are counted
         lines = rows = 0  # rows: the lines up to the last non-empty one
         for line in handle:
             line = line.removesuffix("\n")
-            if parsed and lines < n:
+            if error is None and lines < n:
                 tokens = line.split()
                 try:
                     row[:] = tokens
+                    # a single token would fill the whole row; as unsigned, a
+                    # negative entry is above n too
+                    parsed = len(tokens) == n and row.view(np.uint64).max() < n
                 except (ValueError, OverflowError):
                     parsed = False
-                # a single token would fill the whole row; as unsigned, a
-                # negative entry is above n too
-                parsed = parsed and len(tokens) == n and row.view(np.uint64).max() < n
+                if not parsed:
+                    error = _row_error(tokens, n, lines + 2)
                 table[lines] = row
             lines += 1
             if line:
                 rows = lines
     if rows != n:
         raise ParseError(f"expected exactly {n} table rows, found {rows}", min(rows + 1, n + 2))
-    if not parsed:
-        table = _parse_rows(_read_lines(path)[1:], n)
+    if error is not None:
+        raise error
     validate_table(table)
     return Group(table)
 
 
-def _parse_rows(rows: list[str], n: int) -> np.ndarray:
-    """Token-by-token parse that raises a ParseError at the first bad entry."""
-    table = np.zeros((n, n), dtype=np.int64)
-    for r, row in enumerate(rows):
-        line_no = r + 2
-        tokens = row.split()
-        if len(tokens) != n:
-            raise ParseError(f"expected {n} entries, found {len(tokens)}", line_no)
-        for c, token in enumerate(tokens):
-            try:
-                value = int(token)
-            except ValueError:
-                raise ParseError(f"non-integer entry {token!r}", line_no, c + 1) from None
-            if not 0 <= value < n:
-                raise ParseError(f"entry {value} out of range 0..{n - 1}", line_no, c + 1)
-            table[r, c] = value
-    return table
+def _row_error(tokens: list[str], n: int, line_no: int) -> ParseError:
+    """Locate the fault in a row numpy rejected: a wrong entry count, or the
+    first token that int() cannot read or that lies outside 0..n-1.  numpy
+    reads each token with int(), so the walk meets the fault numpy met."""
+    if len(tokens) != n:
+        return ParseError(f"expected {n} entries, found {len(tokens)}", line_no)
+    for c, token in enumerate(tokens, start=1):
+        try:
+            value = int(token)
+        except ValueError:
+            return ParseError(f"non-integer entry {token!r}", line_no, c)
+        if not 0 <= value < n:
+            return ParseError(f"entry {value} out of range 0..{n - 1}", line_no, c)
+
+
+def _read_header(handle, name: str) -> int:
+    """Parse line 1, the file's order or degree (`name`), an integer >= 1."""
+    head = handle.readline().removesuffix("\n")
+    if not head and not handle.read().strip("\n"):
+        raise ParseError("empty file", 1)
+    try:
+        value = int(head.strip())
+    except ValueError:
+        raise ParseError(f"expected an integer {name}, got {head!r}", 1) from None
+    if value < 1:
+        raise ParseError(f"{name} must be >= 1, got {value}", 1)
+    return value
 
 
 def write_cayley_table(G: Group, path) -> None:
@@ -126,33 +129,30 @@ def read_permutation_generators(path, max_order: int = DEFAULT_MAX_ORDER) -> Gro
     Composition is "a then b": (a*b)(i) = b[a[i]].  Breadth-first
     discovery from the identity makes element indexing deterministic.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError("empty file", 1)
-    try:
-        degree = int(lines[0].strip())
-    except ValueError:
-        raise ParseError(f"expected an integer degree, got {lines[0]!r}", 1) from None
-    if degree < 1:
-        raise ParseError(f"degree must be >= 1, got {degree}", 1)
-    generators: list[tuple[int, ...]] = []
-    for offset, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != degree:
-            raise ParseError(f"expected {degree} images, found {len(tokens)}", offset)
-        try:
-            images = tuple(int(tok) for tok in tokens)
-        except ValueError:
-            raise ParseError("non-integer image", offset) from None
-        if sorted(images) != list(range(degree)):
-            raise NotAPermutationError(
-                f"line {offset}: images {images} are not a permutation of 0..{degree - 1}"
-            )
-        generators.append(images)
+    with open(path, "r", encoding="utf-8") as handle:
+        degree = _read_header(handle, "degree")
+        generators: list[tuple[int, ...]] = []
+        last = 1  # the last non-empty line
+        for offset, line in enumerate(handle, start=2):
+            line = line.removesuffix("\n")
+            if line:
+                last = offset
+            if not line.strip():
+                continue
+            tokens = line.split()
+            if len(tokens) != degree:
+                raise ParseError(f"expected {degree} images, found {len(tokens)}", offset)
+            try:
+                images = tuple(int(tok) for tok in tokens)
+            except ValueError:
+                raise ParseError("non-integer image", offset) from None
+            if sorted(images) != list(range(degree)):
+                raise NotAPermutationError(
+                    f"line {offset}: images {images} are not a permutation of 0..{degree - 1}"
+                )
+            generators.append(images)
     if not generators:
-        raise ParseError("no generators found", len(lines))
+        raise ParseError("no generators found", last)
 
     identity = tuple(range(degree))
     elements: list[tuple[int, ...]] = [identity]
@@ -225,12 +225,3 @@ def load_catalogue(directory, max_order: int = DEFAULT_MAX_ORDER) -> list[Catalo
         seen.add(stem)
         entries.append(CatalogueEntry(id=stem, source=source, group=group, skipped=skipped))
     return entries
-
-
-def _read_lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    lines = text.split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    return lines

@@ -30,7 +30,9 @@ from .errors import (
 from .numtheory import is_prime, prime_power
 
 DEFAULT_MAX_ORDER = 20000
-_TILE = 512  # side of is_abelian's square blocks; a build block holds about _TILE**2 entries
+# entries one numpy step touches at once: a lattice sweep's gather (0 gathers
+# one member at a time), a block of table rows built, or is_abelian's square tile
+_BATCH_LIMIT = 1 << 18
 
 # family -> (its number of parameters, the group order they give); abelian
 # and product take any number and are read by GroupSpec.order itself
@@ -145,6 +147,8 @@ class Group:
         n = table.shape[0] if table.ndim else 0
         if n == 0 or table.shape != (n, n):
             raise InvalidParameterError(f"table must be square and non-empty, got {table.shape}")
+        if not np.issubdtype(table.dtype, np.integer):  # a float entry would be truncated
+            raise InvalidParameterError(f"table entries must be integers, got dtype {table.dtype}")
         if int(table.min()) < 0 or int(table.max()) >= n:
             raise InvalidParameterError("table entries must be element indices in 0..n-1")
         self.order = int(n)
@@ -206,7 +210,7 @@ class Group:
     def is_abelian(self) -> bool:
         # tile by tile: the whole strided transpose is slow and takes n^2 bools
         if self._abelian is None:
-            t, k = self.table, _TILE
+            t, k = self.table, math.isqrt(_BATCH_LIMIT)
             self._abelian = all(
                 np.array_equal(t[i : i + k, j : j + k], t[j : j + k, i : i + k].T)
                 for i in range(0, self.order, k)
@@ -402,7 +406,7 @@ def _cyclic_extension(inner: np.ndarray, conj: np.ndarray, m: int, s: int) -> np
     x_a y^j * x_b y^l = x_a conj^j(x_b) y^(j+l); when j + l >= m, y^m = x_s
     joins N's part: x_a (conj^j(x_b) x_s) y^(j+l-m).  So the entry in row
     x_a y^j and column c is inner[a, cols[j, c]] + offsets[j, c].  Rows are
-    written in blocks of about _TILE**2 entries straight into the final
+    written in blocks of about _BATCH_LIMIT entries straight into the final
     index dtype, so nothing else of the table's size is allocated.
     """
     k = len(inner)
@@ -416,7 +420,7 @@ def _cyclic_extension(inner: np.ndarray, conj: np.ndarray, m: int, s: int) -> np
     cols, offsets = cols.reshape(m, n), np.repeat(k * (jl % m), k, axis=1)
     table = np.empty((n, n), dtype=_index_dtype(n))
     blocks = table.reshape(m, k, n)  # [j, a, c]
-    rows = max(1, _TILE**2 // n)
+    rows = max(1, _BATCH_LIMIT // n)
     step_j, step_a = max(1, rows // k), min(k, rows)
     for j0 in range(0, m, step_j):
         for a0 in range(0, k, step_a):
@@ -443,11 +447,14 @@ def validate_table(table: np.ndarray) -> None:
     (each one at least doubles the subgroup), any other loop at most n.
     Each test is two n^2 gathers, so a group costs O(n^2 log n), not the
     O(n^3) of testing every triple; a failure names a triple (x, a, y)
-    with (x*a)*y != x*(a*y).
+    with (x*a)*y != x*(a*y).  A table of any dtype but an integer type
+    (float or bool) raises InvalidParameterError before any axiom is tested.
     """
     n = table.shape[0]
     if table.shape != (n, n):
         raise NotAGroupError("shape", table.shape)
+    if not np.issubdtype(table.dtype, np.integer):
+        raise InvalidParameterError(f"table entries must be integers, got dtype {table.dtype}")
     if table.min() < 0 or table.max() >= n:
         bad = np.argwhere((table < 0) | (table >= n))[0]
         raise NotAGroupError("entry-range", (int(bad[0]), int(bad[1]), int(table[bad[0], bad[1]])))

@@ -83,7 +83,7 @@ from .errors import (
     NotNormalError,
     NotPrimePowerError,
 )
-from .groups import Group, _index_dtype
+from .groups import _BATCH_LIMIT, Group, _index_dtype
 from .numtheory import factorize, integer_log, prime_power, valuation
 
 DEFAULT_MAX_SUBGROUPS = 200000
@@ -175,9 +175,6 @@ def cyclic_subgroups(G: Group) -> list[Subgroup]:
         arr = np.array(sorted(powers), dtype=G.table.dtype)
         subs.append(Subgroup(G, arr))
     return sorted(subs, key=Subgroup.sort_key)
-
-
-_BATCH_LIMIT = 1 << 18  # elements of table[members] gathered at once; 0 gathers one member at a time
 
 
 def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Lattice:

@@ -115,6 +115,7 @@ def test_latin_square_violation_rejected(tmp_path):
         ("2\n0 1\n1\n", 3),
         ("2\n0 1\n1 x\n", 3),
         ("2\n0 1\n1 7\n", 3),
+        ("3\n0 1 x\n1 2 0\n", 3),  # a bad token, but the short file is reported
     ],
 )
 def test_parse_errors_report_line(tmp_path, content, line):
@@ -163,9 +164,33 @@ def test_permutation_deterministic_reindexing(tmp_path):
 
 def test_permutation_rejects_non_permutation(tmp_path):
     path = tmp_path / "bad.gens"
-    path.write_text("3\n1 1 0\n")
-    with pytest.raises(NotAPermutationError):
+    for content in ("3\n1 1 0\n", "3\n1 2 3\n"):  # a repeated image, an image out of range
+        path.write_text(content)
+        with pytest.raises(NotAPermutationError):
+            read_permutation_generators(path)
+
+
+@pytest.mark.parametrize(
+    "content,line,message",
+    [
+        ("", 1, "empty file"),
+        ("\n\n", 1, "empty file"),
+        ("x\n1 0\n", 1, None),
+        ("0\n", 1, None),
+        ("3\n1 2\n", 2, None),
+        ("3\n\n1 x 0\n", 3, None),
+        ("3\n", 1, "no generators found"),
+        ("3\n\n \n\n", 3, "no generators found"),
+    ],
+)
+def test_permutation_parse_errors_report_line(tmp_path, content, line, message):
+    path = tmp_path / "bad.gens"
+    path.write_text(content)
+    with pytest.raises(ParseError) as info:
         read_permutation_generators(path)
+    assert info.value.line == line
+    if message is not None:
+        assert message in str(info.value)
 
 
 def test_cayley_order_overflow_is_raised_before_rows_are_read(tmp_path):
@@ -260,6 +285,29 @@ def test_cayley_body_is_read_into_an_index_dtype_table(tmp_path):
         tracemalloc.stop()
     assert back.table.dtype == G.table.dtype == np.uint16
     assert np.array_equal(back.table, G.table)
+    assert peak < 5 * G.table.nbytes
+
+
+def test_bad_row_is_located_in_the_memory_of_a_well_formed_read(tmp_path):
+    """A bad token in the last row is located as that row is read, so the
+    traced peak stays under the five tables of a well-formed read."""
+    G = construct("dihedral:150")
+    path = tmp_path / "d150.cayley"
+    write_cayley_table(G, path)
+    text = path.read_text()
+    head, last = text.rstrip("\n").rsplit("\n", 1)
+    tokens = last.split()
+    tokens[7] = "x"
+    path.write_text(head + "\n" + " ".join(tokens) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            read_cayley_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.line, info.value.col) == (301, 8)
+    assert "non-integer entry 'x'" in str(info.value)
     assert peak < 5 * G.table.nbytes
 
 

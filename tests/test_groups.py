@@ -442,6 +442,19 @@ def test_group_rejects_non_square_table():
         Group(np.zeros((2, 3), dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "table",
+    [np.array([[0, 1], [1, 0.5]]), np.array([[False, True], [True, False]])],
+    ids=["float64", "bool"],
+)
+def test_non_integer_tables_are_rejected(table):
+    """0.5 would be truncated to index 0, making Z2 of this float table, and
+    a bool table would be read as indices 0 and 1."""
+    for check in (validate_table, Group):
+        with pytest.raises(InvalidParameterError, match=f"got dtype {table.dtype}"):
+            check(table)
+
+
 def test_abelian_type_validation():
     with pytest.raises(InvalidParameterError):
         AbelianType((6,))
