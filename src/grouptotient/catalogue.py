@@ -7,7 +7,9 @@ the identity; the table is fully validated (identity, Latin square,
 associativity) before a group is returned.  Line 1 is read alone, so an
 order over the cap is refused before the body is read.  The file is read
 once: a bad row is located on the line where it is read, in the memory of
-a well-formed read, and reported once the rows are counted.
+a well-formed read, and reported once the rows are counted.  In either
+format a byte that is not valid UTF-8 is a ParseError on its own line,
+though the decoder reads ahead of the line being parsed.
 
 Permutation-generator files (``.gens``): line 1 holds the degree d;
 every following non-empty line is one generator, written as d
@@ -53,16 +55,16 @@ def read_cayley_table(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Parse and fully validate a Cayley-table file; an order above
     `max_order` is refused after reading line 1 alone.  The body is read
     one line at a time into a table already in the group's index dtype."""
-    with open(path, "r", encoding="utf-8") as handle:
-        n = _read_header(handle, "order")
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        text = _lines(handle)
+        n = _read_header(text, "order")
         if n > max_order:
             raise OrderOverflowError(n, max_order)
         table = np.empty((n, n), dtype=_index_dtype(n))
         row = np.empty(n, dtype=np.int64)
         error = None  # the first bad row's, raised once the rows are counted
         lines = rows = 0  # rows: the lines up to the last non-empty one
-        for line in handle:
-            line = line.removesuffix("\n")
+        for line in text:
             if error is None and lines < n:
                 tokens = line.split()
                 try:
@@ -101,10 +103,24 @@ def _row_error(tokens: list[str], n: int, line_no: int) -> ParseError:
             return ParseError(f"entry {value} out of range 0..{n - 1}", line_no, c)
 
 
-def _read_header(handle, name: str) -> int:
+def _lines(handle):
+    """The lines of a file opened with errors="surrogateescape", without their
+    newline, each checked to be UTF-8 as it is read: a byte the decoder
+    could not read arrives as a lone surrogate, and its line is reported."""
+    for line_no, line in enumerate(handle, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ParseError(f"byte 0x{byte:02x} is not valid UTF-8", line_no) from None
+        yield line.removesuffix("\n")
+
+
+def _read_header(lines, name: str) -> int:
     """Parse line 1, the file's order or degree (`name`), an integer >= 1."""
-    head = handle.readline().removesuffix("\n")
-    if not head and not handle.read().strip("\n"):
+    head = next(lines, "")
+    if not head and not any(lines):
         raise ParseError("empty file", 1)
     try:
         value = int(head.strip())
@@ -129,12 +145,12 @@ def read_permutation_generators(path, max_order: int = DEFAULT_MAX_ORDER) -> Gro
     Composition is "a then b": (a*b)(i) = b[a[i]].  Breadth-first
     discovery from the identity makes element indexing deterministic.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        degree = _read_header(handle, "degree")
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        text = _lines(handle)
+        degree = _read_header(text, "degree")
         generators: list[tuple[int, ...]] = []
         last = 1  # the last non-empty line
-        for offset, line in enumerate(handle, start=2):
-            line = line.removesuffix("\n")
+        for offset, line in enumerate(text, start=2):
             if line:
                 last = offset
             if not line.strip():

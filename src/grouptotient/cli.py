@@ -15,6 +15,7 @@ product:(cyclic:4)x(cyclic:9).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -120,8 +121,12 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
+# built on the first call to main and reused: parsing leaves the parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (GroupError, OSError) as exc:  # OSError: an input or --out path that cannot be used

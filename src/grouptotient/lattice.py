@@ -45,24 +45,32 @@ non-identity element is their least generator a, taken as one block per
 order with no candidate sweep and no join.  Every larger level's members
 form one matrix, swept in chunks of up to _BATCH_LIMIT = 2^18 gathered
 entries, and each chunk yields the right-coset minima
-minima[r, x] = min(H_r*x) by one min-reduction over table[block]; a
-subgroup too large for one chunk (|H| * |G| > 2^18, first above order
+minima[r, x] = min(H_r*x) in the table's dtype: the chunk's members are
+gathered member first, table.take(block.T, axis=0), so the min-reduction
+runs over the leading axis, one contiguous (rows, |G|) plane per member.
+A subgroup too large for one chunk (|H| * |G| > 2^18, first above order
 724 when |H| = |G| / 2) is reduced over slices of its members, each of
 at most 2^18 gathered entries.  `is_normal` gathers conjugates over the
-same slices.  G itself has no child, so it is not swept.  Index-2 steps
-are built per chunk; other candidates are joined one by one, by a
-breadth-first walk over coset names: a right coset is named by its
-minimum and (H*x)*s = H*(x*s), so the coset reached from H*x by a
-generator s is minima[r, x*s], and members are gathered only for a join
-that succeeds.  One lexsort per level of more than one row gives the
-canonical order.  One pass after the sweep counts each subgroup's
-totient, batching consecutive rows of any widths up to _BATCH_LIMIT
-gathered element orders, and keeps the vector on the lattice, for every
-Gauss sum to read; it also sums the totients of the cyclic subgroups
-(those whose exponent is their order), so `Lattice.cyclic_sum` is |G|
-exactly when the lattice holds every cyclic subgroup.  The rank-8
-elementary abelian group (417199 subgroups) takes 2-4 s, totients
-included, on a 2-vCPU Xeon host.
+same slices.  G itself has no child, so it is not swept.  Candidates are
+read off one flat mask and every per-candidate minimum (H*a^-1, H*a^2,
+HaH) with one `take` from the flattened minima.  Index-2 steps are built
+per chunk; other candidates are joined one by one, by a breadth-first
+walk over coset names: a right coset is named by its minimum and
+(H*x)*s = H*(x*s), so the coset reached from H*x by a generator s is
+minima[r, x*s], and members are gathered only for a join that succeeds.
+No Python object is kept per subgroup: each level holds, beside its
+member matrix, arrays of its rows' last chain generators and parent
+positions, and a join that needs H's generators (a does not normalize
+H) rebuilds H's chain from those parent pointers.  One argsort per
+level of more than one row, over the rows read as big-endian byte
+strings, gives the canonical order.  One pass after the sweep counts
+each subgroup's totient, batching consecutive rows of any widths up to
+_BATCH_LIMIT gathered element orders, and keeps the vector on the
+lattice, for every Gauss sum to read; it also sums the totients of the
+cyclic subgroups (those whose exponent is their order), so
+`Lattice.cyclic_sum` is |G| exactly when the lattice holds every cyclic
+subgroup.  The rank-8 elementary abelian group (417199 subgroups) takes
+0.6-0.8 s, totients included, on a 2-vCPU Xeon host.
 
 The lattice keeps these level matrices and the totient vector; Subgroup
 objects are built on first read, so summaries never build one, and every
@@ -73,7 +81,8 @@ entry, the row of G itself, is the group totient that summaries report.
 
 from __future__ import annotations
 
-from functools import reduce
+from bisect import bisect_right
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -183,42 +192,64 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
         raise InvalidParameterError(f"max_subgroups must be at least 1, got {max_subgroups}")
     n = G.order
     table = G.table
+    products = table.ravel()  # a*b is products[a*n + b]; Group keeps its table contiguous
     abelian = G.is_abelian()
-    # keys[b] = b when b is the least generator of <b>, else -1: b is a
-    # candidate exactly when min(H*b) == keys[b]
-    keys = np.full(n, -1, dtype=np.int64)
+    # keys[b] = b when b is the least generator of <b>, else 0: b is a
+    # candidate exactly when min(H*b) == b and keys[b] is above H's last
+    # chain generator, which is at least 1 in every swept H
+    keys = np.zeros(n, dtype=table.dtype)
     walks = G.least_generators()
     least = list(walks)
     keys[least] = least
-    squares = np.diagonal(table)
+    squares = np.diagonal(table).copy()  # take() would copy a strided source on every call
     inverses = G.inverses()
-    columns = np.arange(n)
-    # order -> (member blocks, chains) of the subgroups found so far
-    pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [()])}
+    columns = np.arange(n, dtype=table.dtype)
+    # order -> (member blocks, last chain generators, parent ids) of the
+    # subgroups found so far; a subgroup's id is its place in the lattice
+    pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [(0,)], [(0,)])}
     found = 1
     levels: dict[int, np.ndarray] = {}
+    # starts[k]: the first id of the k-th swept level, then one past the last;
+    # links[k]: that level's rows' last generators and parent ids
+    starts = [0]
+    links: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def accept(block, chains):
+    def accept(block, lasts, parents):
         nonlocal found
-        if found + len(chains) > max_subgroups:
+        if found + len(lasts) > max_subgroups:
             raise LatticeOverflowError(max_subgroups + 1, max_subgroups)
-        found += len(chains)
-        level = pending.setdefault(block.shape[1], ([], []))
+        found += len(lasts)
+        level = pending.setdefault(block.shape[1], ([], [], []))
         level[0].append(block)
-        level[1].extend(chains)
+        level[1].append(lasts)
+        level[2].append(parents)
+
+    @lru_cache(maxsize=1)  # joins of one parent are consecutive
+    def chain(i):
+        """The canonical generating chain of subgroup i, read off the parent ids."""
+        gens = []
+        while i:  # id 0 is the trivial subgroup
+            k = bisect_right(starts, i) - 1
+            lasts, parents = links[k]
+            gens.append(int(lasts[i - starts[k]]))
+            i = int(parents[i - starts[k]])
+        return gens[::-1]
 
     while pending:
         m = min(pending)
-        blocks, chains = pending.pop(m)
+        blocks, lasts, parents = pending.pop(m)
         level = np.concatenate(blocks)
+        lasts = np.concatenate(lasts, dtype=table.dtype, casting="unsafe")  # each below n
+        parents = np.concatenate(parents, dtype=np.intp)
         if len(level) > 1:
-            # rows are sorted and of equal length, so this is Subgroup.sort_key order
-            order = np.lexsort(level.T[::-1])
-            level = level[order]
-            chains = [chains[i] for i in order.tolist()]
+            order = _canonical_order(level)
+            level, lasts, parents = level[order], lasts[order], parents[order]
         levels[m] = level
         if m == n:  # G itself has no child
             break
+        first = starts[-1]
+        starts.append(first + len(level))
+        links.append((lasts, parents))
         if m == 1:
             # the children of the trivial subgroup: every <a> whose least
             # non-identity element is its least generator a, one block per order
@@ -228,31 +259,37 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                 if members[1] == a:  # members[0] is the identity
                     rows, firsts = by_order.setdefault(len(members), ([], []))
                     rows.append(members)
-                    firsts.append((a,))
+                    firsts.append(a)
             for rows, firsts in by_order.values():
-                accept(np.array(rows, dtype=table.dtype), firsts)
+                accept(np.array(rows, dtype=table.dtype), firsts, np.zeros(len(firsts), dtype=np.intp))
             continue
         rows = max(1, _BATCH_LIMIT // (m * n))
         width = max(1, _BATCH_LIMIT // n)
-        lasts = np.array([chain[-1] for chain in chains])
         for start in range(0, len(level), rows):
             block = level[start : start + rows]
-            # minima[r, x] = min(H_r * x), which is 0 exactly for x in H_r,
-            # reduced over slices of at most `width` members (one slice unless one row fills the chunk)
-            slices = (table[block[:, j : j + width]].min(axis=1) for j in range(0, m, width))
+            # minima[r, x] = min(H_r * x), which is 0 exactly for x in H_r, reduced
+            # over slices of at most `width` members (one slice unless one row fills
+            # the chunk); a slice is gathered member first, so each reduction step
+            # is one contiguous (rows, n) plane
+            slices = (
+                np.minimum.reduce(table.take(block[:, j : j + width].T, axis=0)) for j in range(0, m, width)
+            )
             minima = reduce(np.minimum, slices)
-            r, a = np.nonzero((minima == keys) & (columns > lasts[start : start + len(block), None]))
+            flat = minima.ravel()
+            mask = (minima == columns) & (keys > lasts[start : start + len(block), None])
+            r, a = np.divmod(np.flatnonzero(mask), n)
+            at = r * n  # minima[r, x] is flat[at + x]
             # a is canonical only if no part of <H, a> outside H lies below it:
             # not H*a^-1, not H*a^2 unless a^2 is in H, and not the double coset HaH
-            square = minima[r, squares[a]]
-            keep = (minima[r, inverses[a]] >= a) & ((square == 0) | (square >= a))
-            r, a, square = r[keep], a[keep], square[keep]
+            square = flat.take(at + squares.take(a))
+            keep = (flat.take(at + inverses.take(a)) >= a) & ((square == 0) | (square >= a))
+            r, a, at, square = r[keep], a[keep], at[keep], square[keep]
             if abelian:  # every a normalizes H, and HaH = H*a
                 normal = np.ones(len(a), dtype=bool)
             else:
                 # hah[k, h] = min(H*a*h), so min(HaH) is the row minimum, and
                 # every entry is a exactly when a normalizes H (aH = Ha)
-                hah = minima[r[:, None], table[a[:, None], block[r]]]
+                hah = flat.take(at[:, None] + products.take(a[:, None] * n + block.take(r, axis=0)))
                 keep = hah.min(axis=1) >= a
                 r, a, square = r[keep], a[keep], square[keep]
                 normal = hah[keep].max(axis=1) == a
@@ -263,17 +300,26 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                 rs, bs = r[step], a[step]
                 accept(
                     np.sort(np.concatenate([block[rs], table[block[rs], bs[:, None]]], axis=1), axis=1),
-                    [chains[start + i] + (b,) for i, b in zip(rs.tolist(), bs.tolist())],
+                    bs,
+                    first + start + rs,
                 )
             join = ~step
             for i, b, nrm in zip(r[join].tolist(), a[join].tolist(), normal[join].tolist()):
-                chain = chains[start + i]
-                joined = _join_with_element(table, minima[i], chain, b, nrm)
+                parent = first + start + i
+                joined = _join_with_element(table, minima[i], () if nrm else chain(parent), b, nrm)
                 if joined is not None:  # None: b is not the least new element of the join
-                    accept(joined.astype(table.dtype)[None, :], [chain + (b,)])
+                    accept(joined.astype(table.dtype)[None, :], (b,), (parent,))
 
     totients, cyclic_sum = _totients(levels, G.element_orders())
     return Lattice(G, levels, totients, cyclic_sum)
+
+
+def _canonical_order(level: np.ndarray) -> np.ndarray:
+    """The permutation that puts a level's rows, sorted member lists of one
+    length, in Subgroup.sort_key order: one argsort of the rows read as
+    big-endian byte strings, which compare as the member lists do."""
+    rows = np.ascontiguousarray(level, dtype=level.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0].argsort()
 
 
 def _totients(levels, element_orders):
@@ -317,7 +363,7 @@ def _join_with_element(table, minima, gens, a, normal):
     its minimum, and (H*x)*s = H*(x*s), so cosets are added until the
     named ones are closed under the generators, and members are gathered
     only for a join that succeeds.  When a normalizes H, H<a> is the union
-    of the cosets H*a^k, so a alone is enough.
+    of the cosets H*a^k, so a alone is enough and `gens` is not read.
     """
     gens = [a] if normal else [*gens, a]
     seen = {0, a}

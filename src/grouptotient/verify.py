@@ -17,8 +17,9 @@ suites' `_group_and_lattice` enumerate a spec's lattice once and keep,
 keyed by (spec string, subgroup cap), only its level matrices, totient
 vector and cyclic sum, stored read-only.  A hit builds the group again
 from its spec (cheap and deterministic) and wraps the cached arrays.  The
-cache holds at most _LATTICE_CACHE_BYTES = 4 MiB of arrays, evicting the
-least recently used; a larger lattice is never stored.  The nine theorem
+cache holds at most _LATTICE_CACHE_BYTES = 4 MiB of arrays, kept as a
+running total, evicting the least recently used; a larger lattice is
+never stored.  The nine theorem
 suites of the benchmark leave 0.1 MiB of arrays in it (149 lattices).
 Scans summarize without it: each of their groups is seen once, so
 caching would only hold memory.
@@ -113,9 +114,23 @@ def summarize_spec(
     return _summary(*_cached_lattice(spec_text, max_order, max_subgroups))
 
 
-# (spec string, subgroup cap) -> (levels, totients, cyclic sum, bytes held),
-# least recently used first
-_lattices: OrderedDict = OrderedDict()
+class _LatticeCache(OrderedDict):
+    """(spec string, subgroup cap) -> (levels, totients, cyclic sum, bytes held),
+    least recently used first.  `held` is the running total of the entries'
+    bytes; it stays exact while entries are added and evicted only by `store`."""
+
+    held = 0
+
+    def store(self, key, entry, budget: int) -> None:
+        """Add an entry of at most `budget` bytes, first evicting the least
+        recently used ones until it fits."""
+        while self.held + entry[3] > budget:
+            self.held -= self.popitem(last=False)[1][3]
+        self[key] = entry
+        self.held += entry[3]
+
+
+_lattices = _LatticeCache()
 _LATTICE_CACHE_BYTES = 4 << 20
 
 
@@ -134,9 +149,7 @@ def _cached_lattice(spec, max_order, max_subgroups) -> tuple[Group, Lattice]:
     if size <= _LATTICE_CACHE_BYTES:
         for a in arrays:
             a.setflags(write=False)
-        while sum(entry[3] for entry in _lattices.values()) + size > _LATTICE_CACHE_BYTES:
-            _lattices.popitem(last=False)
-        _lattices[key] = (dict(L.levels), L.totients, L.cyclic_sum, size)
+        _lattices.store(key, (dict(L.levels), L.totients, L.cyclic_sum, size), _LATTICE_CACHE_BYTES)
     return G, L
 
 

@@ -193,6 +193,43 @@ def test_permutation_parse_errors_report_line(tmp_path, content, line, message):
         assert message in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "suffix,content,line",
+    [
+        (".cayley", b"2\xff\n0 1\n1 0\n", 1),
+        (".cayley", b"2\n0 1\n1 \xff\n", 3),
+        (".cayley", b"2\n0 1\n1 0\n\xc3\n", 4),  # a trailing line is read too
+        (".gens", b"\xfe3\n1 2 0\n", 1),
+        (".gens", b"3\n1 2 0\n\n0 \xe9 1\n", 4),
+    ],
+)
+def test_bytes_that_are_not_utf8_are_located(tmp_path, suffix, content, line):
+    path = tmp_path / f"bad{suffix}"
+    path.write_bytes(content)
+    read = read_cayley_table if suffix == ".cayley" else read_permutation_generators
+    with pytest.raises(ParseError, match="is not valid UTF-8") as info:
+        read(path)
+    assert info.value.line == line
+
+
+def test_a_bad_byte_far_from_line_1_is_located_on_its_line(tmp_path):
+    """The decoder reads ahead in chunks, so a bad byte in the last row of
+    an order-1000 table is decoded while line 1 is read; it is still
+    reported on its own line.  Valid UTF-8 that is not ASCII is read as
+    text, and a non-digit is refused as a token."""
+    path = tmp_path / "d500.cayley"
+    write_cayley_table(construct("dihedral:500"), path)
+    body = path.read_bytes()
+    path.write_bytes(body[:-2] + b"\x80\n")
+    with pytest.raises(ParseError, match="byte 0x80 is not valid UTF-8") as info:
+        read_cayley_table(path)
+    assert info.value.line == 1001
+    path.write_text("2\n0 1\n1 \u00e9\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="non-integer") as info:
+        read_cayley_table(path)
+    assert (info.value.line, info.value.col) == (3, 2)
+
+
 def test_cayley_order_overflow_is_raised_before_rows_are_read(tmp_path):
     path = tmp_path / "big.cayley"
     path.write_text("3\n0 1\n")  # too few rows, but the order is checked first

@@ -55,22 +55,42 @@ def test_level_sweep_independent_of_chunk_budget(tmp_path, monkeypatch):
     one at a time, larger ones over slices of their members), and budget 0
     (the coset minima of every parent reduced one member at a time, and
     the totient pass one row per block) give the same subgroups, members,
-    bitsets and totients, in sort_key order."""
-    groups = _groups(tmp_path)
+    bitsets and totients, in sort_key order.  dihedral:150 (order 300) has
+    a uint16 table, whose rows are sorted as big-endian pairs of bytes."""
+    groups = {**_groups(tmp_path), "dihedral:150": construct("dihedral:150")}
     expected = {name: _records(all_subgroups(G)) for name, G in groups.items()}
     assert len(expected["abelian:2,2,2,2,2"]) == 374
     assert len(expected["a5"]) == 59
+    assert len(expected["dihedral:150"]) == 384  # tau(150) + sigma(150)
+    assert groups["dihedral:150"].table.dtype == np.uint16
     for name, G in groups.items():
-        L = all_subgroups(G)
-        keys = [H.sort_key() for H in L.subgroups]
-        assert keys == sorted(keys), name
-        assert len({_bits(H) for H in L.subgroups}) == len(L), name
-        for H in L.subgroups:
-            assert H.members.dtype == G.table.dtype, name
-        for budget in (4 * G.order, 0):
+        for budget in (lattice_mod._BATCH_LIMIT, 4 * G.order, 0):
             monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", budget)
-            assert _records(all_subgroups(G)) == expected[name], (name, budget)
+            L = all_subgroups(G)
+            keys = [H.sort_key() for H in L.subgroups]
+            assert keys == sorted(keys), (name, budget)
+            assert len({_bits(H) for H in L.subgroups}) == len(L), (name, budget)
+            for H in L.subgroups:
+                assert H.members.dtype == G.table.dtype, (name, budget)
+            assert _records(L) == expected[name], (name, budget)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_level_order_is_the_lexicographic_order_of_rows(dtype):
+    """A level is sorted by one argsort of its rows as big-endian byte
+    strings; that is np.lexsort's order of the rows, first column most
+    significant, here on random rows with repeats, ties in every leading
+    column, and int64 entries above 2^32 (no order-2^32 group is built)."""
+    rng = np.random.default_rng(5)
+    high = min(np.iinfo(dtype).max, 1 << 40)
+    rows = np.sort(rng.integers(0, high, size=(500, 6), dtype=np.int64), axis=1).astype(dtype)
+    rows[100:200, :3] = rows[100, :3]  # a shared prefix of three columns
+    rows[200:220] = rows[200]  # repeated rows
+    rows[300:, 0] = rng.integers(0, 4, size=200)  # few values in the first column
+    order = lattice_mod._canonical_order(rows)
+    assert sorted(order.tolist()) == list(range(len(rows)))
+    assert np.array_equal(rows[order], rows[np.lexsort(rows.T[::-1])])
 
 
 def test_cap_counts_the_first_child_past_it():

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -348,12 +347,36 @@ def test_cli_unusable_path_exits_2(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name,content,line", [("bad.cayley", b"2\n0 1\n1 \xff\n", 3), ("bad.gens", b"2\n\xff 0\n", 2)])
+def test_cli_input_that_is_not_utf8_exits_2(name, content, line, tmp_path, capsys):
+    (tmp_path / name).write_bytes(content)
+    expected = f"error: line {line}: byte 0xff is not valid UTF-8\n"
+    assert main(["scan", "--catalogue", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == expected
+    if name.endswith(".cayley"):  # summarize --file reads .cayley files only
+        assert main(["summarize", "--file", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err == expected
+
+
+def test_cli_parser_is_built_once_and_keeps_no_parsed_state(monkeypatch):
+    import grouptotient.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: seen.append(args) or 0)
+    assert main(["suite", "thm7", "--param", "n_max=8"]) == 0
+    assert main(["suite", "thm7"]) == 0
+    assert main(["suite", "thm7", "--param", "n_max=9"]) == 0
+    assert [args.param for args in seen] == [["n_max=8"], [], ["n_max=9"]]
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(["suite", "thm7"]).param == []
+
+
 def _fresh_lattice_cache(monkeypatch):
     """An empty suite lattice cache for this test, and the specs whose
     lattice verify enumerates from now on."""
     import grouptotient.verify as verify_mod
 
-    monkeypatch.setattr(verify_mod, "_lattices", OrderedDict())
+    monkeypatch.setattr(verify_mod, "_lattices", verify_mod._LatticeCache())
     enumerate_, calls = verify_mod.all_subgroups, []
 
     def counting(G, **caps):
@@ -407,10 +430,12 @@ def test_lattice_cache_evicts_the_least_recently_used(monkeypatch):
     # quaternion:16 evicted dihedral:10, the least recently used, then dihedral:10
     # evicted quaternion:16; dihedral:6 stayed
     assert calls == ["dihedral:6", "dihedral:10", "quaternion:16", "dihedral:10"]
-    assert sum(entry[3] for entry in verify_mod._lattices.values()) <= verify_mod._LATTICE_CACHE_BYTES
+    held = verify_mod._lattices.held
+    assert held == sum(entry[3] for entry in verify_mod._lattices.values()) <= verify_mod._LATTICE_CACHE_BYTES
+    assert held == size["dihedral:6"] + size["dihedral:10"]
     # a lattice over the bound is never stored
     monkeypatch.setattr(verify_mod, "_LATTICE_CACHE_BYTES", min(size.values()) - 1)
-    verify_mod._lattices.clear()
+    monkeypatch.setattr(verify_mod, "_lattices", verify_mod._LatticeCache())
     lattice("quaternion:16")
     lattice("quaternion:16")
     assert calls[-2:] == ["quaternion:16"] * 2 and not verify_mod._lattices
