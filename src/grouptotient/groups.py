@@ -227,17 +227,19 @@ def _least_generators(table: np.ndarray) -> dict[int, list[int]]:
     subgroup; one walk of its powers marks every generator a^k with
     gcd(k, m) = 1, so each distinct cyclic subgroup is walked once.
     """
-    marked = np.zeros(len(table), dtype=bool)
+    marked = bytearray(len(table))
     out: dict[int, list[int]] = {}
     for a in range(len(table)):
         if marked[a]:
             continue
         x, powers = a, [a]
         while x != 0:
-            x = int(table[x, a])
+            x = table.item(x, a)  # a Python int, with no numpy scalar per step
             powers.append(x)
         m = len(powers)
-        marked[[x for k, x in enumerate(powers, 1) if math.gcd(k, m) == 1]] = True
+        for k, x in enumerate(powers, 1):
+            if math.gcd(k, m) == 1:
+                marked[x] = 1
         out[a] = powers
     return out
 
@@ -367,7 +369,9 @@ def _cyclic_table(n: int) -> np.ndarray:
         raise InvalidParameterError(f"cyclic group order must be >= 1, got {n}")
     r = np.arange(n, dtype=_index_dtype(n))
     twice = np.concatenate([r, r])
-    return np.lib.stride_tricks.as_strided(twice, (n, n), twice.strides * 2, writeable=False)
+    view = np.ndarray((n, n), twice.dtype, twice, 0, twice.strides * 2)
+    view.setflags(write=False)
+    return view
 
 
 def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from grouptotient import (
     gauss_sum,
     read_permutation_generators,
 )
-from naive_oracles import naive_subgroup_phi, relabel
+from naive_oracles import naive_all_subgroups, naive_closure, naive_subgroup_phi, relabel
 
 
 def _relabelled(spec, seed):
@@ -105,6 +105,83 @@ def test_cap_counts_the_first_child_past_it():
     assert (exc.value.count, exc.value.cap) == (2825, 2824)
 
 
+def _last_step(table):
+    """(length, index of the last proper subgroup) of G's canonical chain,
+    walked with the naive closure: c_(i+1) is the least element outside
+    <c_1.. c_i>, so the sweep can reach G only from that last subgroup."""
+    H, length = frozenset([0]), 0
+    while len(H) < len(table):
+        last = H
+        H = naive_closure(table, H | {min(set(range(len(table))) - H)})
+        length += 1
+    return length, len(table) // len(last)
+
+
+def _skip_cases(tmp_path):
+    """Where G's chain ends: after a prime-index level, which is not swept,
+    so G is appended after the loop; after a composite-index level, whose
+    sweep finds G; at level 1 (a cyclic G read off the walk); and prime
+    order, where level 1 itself has prime index."""
+    return {
+        "appended": [construct(spec) for spec in ("dihedral:3", "abelian:3,3", "quaternion:8", "sdp:7,3,2")],
+        "swept": [
+            _from_gens(tmp_path, 4, [(1, 2, 0, 3), (0, 2, 3, 1)]),
+            _from_gens(tmp_path, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+            _from_gens(tmp_path, 5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]),
+        ],
+        "level 1": [construct("cyclic:12")],
+        "prime order": [construct("cyclic:7")],
+    }
+
+
+@pytest.mark.parametrize("budget", ["default", 0])
+def test_prime_index_levels_are_not_swept(tmp_path, monkeypatch, budget):
+    """A subgroup of prime index has no proper overgroup but G (Lagrange),
+    so its level is recorded but not swept, and G is appended after the
+    loop when no sweep found it.  Each case's lattice, in canonical order
+    and with its totients, matches the naive pairwise-join closure."""
+    if budget == 0:
+        monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
+    cases = _skip_cases(tmp_path)
+    assert [G.order for G in cases["swept"]] == [12, 24, 60]
+    for case, groups in cases.items():
+        for G in groups:
+            table = G.table.tolist()
+            length, index = _last_step(table)
+            assert (length == 1) == (case in ("level 1", "prime order")), (case, G)
+            prime = all(index % p for p in range(2, index))  # index > 1
+            assert prime == (case in ("appended", "prime order")), (case, G)
+            L = all_subgroups(G)
+            assert list(L.levels) == sorted(L.levels) and L.levels[G.order].shape == (1, G.order), G
+            assert np.array_equal(L.levels[G.order][0], np.arange(G.order)), G
+            keys = [H.sort_key() for H in L.subgroups]
+            assert keys == sorted(keys), G
+            naive = naive_all_subgroups(table)
+            assert len(L) == len(naive) and {frozenset(H.members.tolist()) for H in L.subgroups} == naive, G
+            assert L.totients.tolist() == [naive_subgroup_phi(table, H.members.tolist()) for H in L.subgroups], G
+            assert L.cyclic_sum == G.order, G
+    assert len(all_subgroups(construct("cyclic:7"))) == 2
+
+
+def test_a_prime_index_level_starts_no_join(monkeypatch):
+    """abelian:3,3 and sdp:7,3,2 reach G only from a subgroup of prime
+    index, whose sweep would run one join, finding G."""
+    for spec in ("abelian:3,3", "sdp:7,3,2"):
+        assert _joins(monkeypatch, construct(spec)) == (0, 0), spec
+
+
+@pytest.mark.parametrize("case", ["appended", "swept"])
+def test_cap_counts_g_wherever_it_is_found(tmp_path, case):
+    """The cap counts G whether a sweep finds it or it is appended after
+    the loop: exactly at the cap succeeds, one below raises."""
+    for G in _skip_cases(tmp_path)[case]:
+        count = len(all_subgroups(G))
+        assert len(all_subgroups(G, max_subgroups=count)) == count
+        with pytest.raises(LatticeOverflowError) as exc:
+            all_subgroups(G, max_subgroups=count - 1)
+        assert (exc.value.count, exc.value.cap) == (count, count - 1), G
+
+
 def test_batched_gauss_sum_matches_per_subgroup_totients(tmp_path):
     groups = list(_groups(tmp_path).values()) + [
         construct(spec) for spec in ("cyclic:360", "quaternion:32", "sdp:7,3,2", "heisenberg:3")
@@ -177,16 +254,18 @@ def test_candidates_that_cannot_be_canonical_are_never_joined(tmp_path, monkeypa
 
 
 def test_member_slices_at_their_natural_scale(monkeypatch):
-    """dihedral:400 (order 800) reduces the coset minima of its subgroups of
-    order 400 over slices of their members at the default budget
-    (|H| * |G| > 2^18); G itself has no child, so it is never swept.  It
-    has tau(400) + sigma(400) = 15 + 961 = 976 subgroups, and every level
-    and totient equals the budget-0 lattice, where every parent is reduced
-    one member at a time."""
-    G = construct("dihedral:400")
+    """dihedral:520 (order 1040) reduces the coset minima of its subgroups
+    of order 260 over slices of their members at the default budget
+    (|H| * |G| > 2^18).  Their index 4 is the least composite index, so
+    they are the largest swept subgroups: a subgroup of prime index, such
+    as those of order 520, has no child but G and is not swept, nor is G.
+    It has tau(520) + sigma(520) = 16 + 1260 = 1276 subgroups, and every
+    level and totient equals the budget-0 lattice, where every parent is
+    reduced one member at a time."""
+    G = construct("dihedral:520")
     L = all_subgroups(G)
-    assert len(L) == 976
-    assert len(L.levels[400]) == 3 and 400 * G.order > lattice_mod._BATCH_LIMIT
+    assert len(L) == 1276
+    assert len(L.levels[260]) == 5 and 260 * G.order > lattice_mod._BATCH_LIMIT
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
     L0 = all_subgroups(G)
     assert L0.levels.keys() == L.levels.keys()

@@ -7,11 +7,13 @@ and plain integer arithmetic; nothing is imported from the library's
 number theory, so the oracle shares no code with the enumerator.
 """
 
+import numpy as np
 import pytest
 
 from collections import Counter
 
 from grouptotient import (
+    Group,
     all_subgroups,
     construct,
     dihedral_gauss_sum,
@@ -23,7 +25,7 @@ from grouptotient import (
     two_group_gauss_sum,
 )
 from grouptotient.groups import _least_generators
-from naive_oracles import naive_closure
+from naive_oracles import naive_closure, relabel
 
 
 def _divisors(n):
@@ -147,15 +149,34 @@ def test_nonsolvable_lattice_sizes(tmp_path, name, order, count):
 
 
 @pytest.mark.parametrize(
-    "spec", ["cyclic:12", "abelian:2,4", "dihedral:6", "quaternion:8", "heisenberg:3", "sdp:7,3,2"]
+    "spec",
+    [
+        "cyclic:12",
+        "abelian:2,4",
+        "dihedral:6",
+        "quaternion:8",
+        "heisenberg:3",
+        "sdp:7,3,2",
+        "dihedral:150",
+        "relabelled heisenberg:3",
+    ],
 )
 def test_least_generators_match_brute_force(spec):
-    table = construct(spec).table.tolist()
+    """dihedral:150 (order 300) walks a uint16 table; a relabelled table has
+    least generators that are not the least non-identity members."""
+    if spec.startswith("relabelled "):
+        G = Group(relabel(construct(spec.split()[1]).table, seed=3))
+    else:
+        G = construct(spec)
+    assert G.table.dtype == (np.uint16 if spec == "dihedral:150" else np.uint8)
+    table = G.table.tolist()
     cyclic = [naive_closure(table, [a]) for a in range(len(table))]
     expected = {min(b for b in range(len(table)) if cyclic[b] == C) for C in cyclic}
-    got = _least_generators(construct(spec).table)
+    got = _least_generators(G.table)
     assert set(got) == expected
     for a, powers in got.items():
+        assert all(type(x) is int for x in powers), a
+        assert powers == [a] + [table[x][a] for x in powers[:-1]], a
         assert powers[-1] == 0 and frozenset(powers) == cyclic[a]
 
 
