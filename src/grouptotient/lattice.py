@@ -40,13 +40,13 @@ alone and level 1 joined as well).
 The search sweeps one subgroup order at a time, smallest first; as
 children outgrow their parents and chains are unique, the sweep order
 changes nothing found.  By Lagrange a subgroup of prime index has no
-proper overgroup but G, so a level of prime index is recorded, with its
-rows' links, but not swept, and neither is G; when G's canonical chain
-passes through such a level no sweep finds G, and G is appended after the
-loop under the same cap.  Level 1 is read off the least-generator walk:
-the children of the trivial subgroup are the <a> whose least
-non-identity element is their least generator a, taken as one block per
-order with no candidate sweep and no join.  Every larger level's members
+proper overgroup but G, so a level of prime index is recorded but not
+swept, and neither is G; when G's canonical chain passes through such a
+level no sweep finds G, and G is appended after the loop under the same
+cap.  Level 1 is read off the least-generator walk: the children of the
+trivial subgroup are the <a> whose least non-identity element is their
+least generator a, taken as one block per order with no candidate sweep
+and no join.  Every larger level's members
 form one matrix, swept in chunks of up to _BATCH_LIMIT = 2^18 gathered
 entries, and each chunk yields the right-coset minima
 minima[r, x] = min(H_r*x) in the table's dtype: the chunk's members are
@@ -62,12 +62,13 @@ steps are built per chunk; other candidates are joined one by one, by a
 breadth-first walk over coset names: a right coset is named by its minimum and
 (H*x)*s = H*(x*s), so the coset reached from H*x by a generator s is
 minima[r, x*s], and members are gathered only for a join that succeeds.
-No Python object is kept per subgroup: each level holds, beside its
-member matrix, arrays of its rows' last chain generators and parent
-positions, and a join that needs H's generators (a does not normalize
-H) rebuilds H's chain from those parent pointers.  One argsort per
-level of more than one row, over the rows read as big-endian byte
-strings, gives the canonical order.  One pass after the sweep counts
+The cosets of H in <H, a> are the same whatever set generates H, so a
+join whose a does not normalize H walks by H's own members (its level
+row) and a; a normalizing a walks by a alone.  No Python object is kept
+per subgroup: each level holds, beside its member matrix, an array of
+its rows' last chain generators, which the candidate mask reads.  One
+argsort per level of more than one row, over the rows read as big-endian
+byte strings, gives the canonical order.  One pass after the sweep counts
 each subgroup's totient, batching consecutive rows of any widths up to
 _BATCH_LIMIT gathered element orders, and keeps the vector on the
 lattice, for every Gauss sum to read; it also sums the totients of the
@@ -85,8 +86,7 @@ entry, the row of G itself, is the group totient that summaries report.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -208,52 +208,31 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     squares = np.diagonal(table).copy()  # take() would copy a strided source on every call
     inverses = G.inverses()
     columns = np.arange(n, dtype=table.dtype)
-    # order -> (member blocks, last chain generators, parent ids) of the
-    # subgroups found so far; a subgroup's id is its place in the lattice
-    pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [(0,)], [(0,)])}
+    # order -> (member blocks, last chain generators) of the subgroups found so far
+    pending = {1: ([np.zeros((1, 1), dtype=table.dtype)], [(0,)])}
     found = 1
     levels: dict[int, np.ndarray] = {}
-    # starts[k]: the first id of the k-th swept level, then one past the last;
-    # links[k]: that level's rows' last generators and parent ids
-    starts = [0]
-    links: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def accept(block, lasts, parents):
+    def accept(block, lasts):
         nonlocal found
         if found + len(lasts) > max_subgroups:
             raise LatticeOverflowError(max_subgroups + 1, max_subgroups)
         found += len(lasts)
-        level = pending.setdefault(block.shape[1], ([], [], []))
+        level = pending.setdefault(block.shape[1], ([], []))
         level[0].append(block)
         level[1].append(lasts)
-        level[2].append(parents)
-
-    @lru_cache(maxsize=1)  # joins of one parent are consecutive
-    def chain(i):
-        """The canonical generating chain of subgroup i, read off the parent ids."""
-        gens = []
-        while i:  # id 0 is the trivial subgroup
-            k = bisect_right(starts, i) - 1
-            lasts, parents = links[k]
-            gens.append(int(lasts[i - starts[k]]))
-            i = int(parents[i - starts[k]])
-        return gens[::-1]
 
     while pending:
         m = min(pending)
-        blocks, lasts, parents = pending.pop(m)
+        blocks, lasts = pending.pop(m)
         level = np.concatenate(blocks)
         lasts = np.concatenate(lasts, dtype=table.dtype, casting="unsafe")  # each below n
-        parents = np.concatenate(parents, dtype=np.intp)
         if len(level) > 1:
             order = _canonical_order(level)
-            level, lasts, parents = level[order], lasts[order], parents[order]
+            level, lasts = level[order], lasts[order]
         levels[m] = level
         if m == n:  # G itself has no child
             break
-        first = starts[-1]
-        starts.append(first + len(level))
-        links.append((lasts, parents))
         if is_prime(n // m):  # by Lagrange, G is the only proper overgroup
             continue
         if m == 1:
@@ -267,7 +246,7 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                     rows.append(members)
                     firsts.append(a)
             for rows, firsts in by_order.values():
-                accept(np.array(rows, dtype=table.dtype), firsts, np.zeros(len(firsts), dtype=np.intp))
+                accept(np.array(rows, dtype=table.dtype), firsts)
             continue
         rows = max(1, _BATCH_LIMIT // (m * n))
         width = max(1, _BATCH_LIMIT // n)
@@ -307,16 +286,14 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                 # H u H*a, and a = min(H*a) already
                 rs, bs = r[step], a[step]
                 accept(
-                    np.sort(np.concatenate([block[rs], table[block[rs], bs[:, None]]], axis=1), axis=1),
-                    bs,
-                    first + start + rs,
+                    np.sort(np.concatenate([block[rs], table[block[rs], bs[:, None]]], axis=1), axis=1), bs
                 )
             join = ~step
             for i, b, nrm in zip(r[join].tolist(), a[join].tolist(), normal[join].tolist()):
-                parent = first + start + i
-                joined = _join_with_element(table, minima[i], () if nrm else chain(parent), b, nrm)
+                # H's members but the identity generate H
+                joined = _join_with_element(table, minima[i], () if nrm else block[i, 1:].tolist(), b, nrm)
                 if joined is not None:  # None: b is not the least new element of the join
-                    accept(joined.astype(table.dtype)[None, :], (b,), (parent,))
+                    accept(joined.astype(table.dtype)[None, :], (b,))
     if n not in levels:  # G's chain passes through a prime-index level, which was not swept
         if found + 1 > max_subgroups:
             raise LatticeOverflowError(max_subgroups + 1, max_subgroups)
@@ -368,8 +345,9 @@ def _row_batches(levels):
 
 
 def _join_with_element(table, minima, gens, a, normal):
-    """Sorted members of <H, a>, given minima[x] = min(H*x) and a generating
-    set for H; None as soon as a coset added after H*a has its minimum below a.
+    """Sorted members of <H, a>, given minima[x] = min(H*x) and H's members
+    (`gens`; any generating set of H will do); None as soon as a coset added
+    after H*a has its minimum below a.
 
     Dimino-style coset closure over coset names: a right coset is named by
     its minimum, and (H*x)*s = H*(x*s), so cosets are added until the
@@ -456,24 +434,25 @@ def sylow_subgroups(G: Group, L: Lattice) -> dict[int, list[Subgroup]]:
 
 def large_abelian_subgroup_witness(G: Group, L: Lattice) -> tuple[int, int] | None:
     """First abelian subgroup of order p^m and rank r with m + r >= n + 2,
-    where |G| = p^n; None when no such subgroup exists."""
+    where |G| = p^n, in canonical order; None when no such subgroup exists.
+    The rank is at most m, so only levels with 2m >= n + 2 are read."""
     pk = prime_power(G.order)
     if pk is None:
         raise NotPrimePowerError(f"group order {G.order} is not a prime power")
     p, n = pk
     parent_orders = G.element_orders()
     table = G.table
-    for H in L.subgroups:
-        if H.order == 1:
+    for order, level in L.levels.items():
+        m = valuation(order, p)
+        if 2 * m < n + 2:
             continue
-        m = valuation(H.order, p)
-        sub_table = table[np.ix_(H.members, H.members)]
-        if not np.array_equal(sub_table, sub_table.T):
-            continue
-        member_orders = parent_orders[np.asarray(H.members, dtype=np.int64)]
-        # rank = log_p of the number of solutions of x^p = e
-        low = int(np.count_nonzero(member_orders <= p))
-        r = integer_log(low, p)
-        if m + r >= n + 2:
-            return (m, r)
+        for members in level:
+            sub_table = table[np.ix_(members, members)]
+            if not np.array_equal(sub_table, sub_table.T):
+                continue
+            # rank = log_p of the number of solutions of x^p = e
+            low = int(np.count_nonzero(parent_orders[members] <= p))
+            r = integer_log(low, p)
+            if m + r >= n + 2:
+                return (m, r)
     return None

@@ -23,6 +23,7 @@ from grouptotient import (
     sylow_subgroups,
 )
 from grouptotient.cli import main
+from grouptotient.verify import THM4_CORPUS_DEFAULT
 from naive_oracles import (
     as_group,
     naive_all_subgroups,
@@ -297,6 +298,46 @@ def test_abelian_subgroup_witness_examples():
     # the order-8 dihedral times a 2-cycle has an elementary abelian maximal subgroup
     G = construct("product:(dihedral:4)x(cyclic:2)")
     assert large_abelian_subgroup_witness(G, all_subgroups(G)) == (3, 3)
+
+
+def _exact_log(k, p):
+    """e with p^e = k, failing if k is not a power of p."""
+    e = 0
+    while k > 1:
+        assert k % p == 0, (k, p)
+        k, e = k // p, e + 1
+    return e
+
+
+def _scanned_witness(G, L):
+    """The first subgroup in canonical order, of order p^m, that commutes on
+    its member table and has p^r solutions of x^p = e with m + r >= n + 2."""
+    rows = G.table.tolist()
+    p = next(q for q in range(2, G.order + 1) if G.order % q == 0)
+    n = _exact_log(G.order, p)
+    for H in L.subgroups:
+        members = H.members.tolist()
+        if any(rows[x][y] != rows[y][x] for x in members for y in members):
+            continue
+        solutions = 0
+        for x in members:
+            y = x
+            for _ in range(p - 1):
+                y = rows[y][x]
+            solutions += y == 0
+        m, r = _exact_log(len(members), p), _exact_log(solutions, p)
+        if m + r >= n + 2:
+            return (m, r)
+    return None
+
+
+@pytest.mark.parametrize("spec", [*THM4_CORPUS_DEFAULT, "modular:3,3"])
+def test_abelian_subgroup_witness_matches_a_scan_of_every_subgroup(spec):
+    """The witness, which reads only levels with 2m >= n + 2 (the rank r is
+    at most m), is the first one a scan of every subgroup finds."""
+    G = construct(spec)
+    L = all_subgroups(G)
+    assert large_abelian_subgroup_witness(G, L) == _scanned_witness(G, L)
 
 
 def test_abelian_subgroup_witness_requires_prime_power():

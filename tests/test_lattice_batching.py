@@ -253,6 +253,39 @@ def test_candidates_that_cannot_be_canonical_are_never_joined(tmp_path, monkeypa
     assert _joins(monkeypatch, a6) == (486, 318)
 
 
+def test_join_is_the_closure_when_a_is_its_least_new_element(tmp_path):
+    """The join contract outside the sweep's filters: for every subgroup H
+    and every a outside H with min(H*a) = a, joining by H's members and a
+    gives the naive closure K of H u {a} when a = min(K \\ H), and None
+    otherwise; when a normalizes H, walking by a alone gives the same."""
+    groups = {
+        "a5": _groups(tmp_path)["a5"],
+        "s4": _from_gens(tmp_path, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+        "dihedral:12": construct("dihedral:12"),
+        "heisenberg:3": construct("heisenberg:3"),
+        "relabelled sdp:7,3,2": _relabelled("sdp:7,3,2", seed=5),
+    }
+    for name, G in groups.items():
+        table, rows = G.table, G.table.tolist()
+        inverses = [row.index(0) for row in rows]
+        outcomes = set()
+        for H in all_subgroups(G).subgroups:
+            inside = set(H.members.tolist())
+            minima = table[H.members].min(axis=0)  # minima[x] = min(H*x)
+            for a in range(len(rows)):
+                if a in inside or min(rows[h][a] for h in inside) != a:
+                    continue
+                K = naive_closure(rows, inside | {a})
+                expected = sorted(K) if min(K - inside) == a else None
+                joined = lattice_mod._join_with_element(table, minima, H.members, a, False)
+                assert (None if joined is None else joined.tolist()) == expected, (name, H, a)
+                if {rows[rows[a][h]][inverses[a]] for h in inside} == inside:
+                    joined = lattice_mod._join_with_element(table, minima, (), a, True)
+                    assert (None if joined is None else joined.tolist()) == expected, (name, H, a)
+                outcomes.add(expected is None)
+        assert outcomes == {False, True}, name
+
+
 def test_member_slices_at_their_natural_scale(monkeypatch):
     """dihedral:520 (order 1040) reduces the coset minima of its subgroups
     of order 260 over slices of their members at the default budget
