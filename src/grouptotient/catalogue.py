@@ -132,11 +132,12 @@ def _read_header(lines, name: str) -> int:
 
 
 def write_cayley_table(G: Group, path) -> None:
-    """Write the exact text format read by :func:`read_cayley_table`."""
-    rows = [str(G.order)]
-    rows.extend(" ".join(map(str, row)) for row in G.table.tolist())
+    """Write the exact text format read by :func:`read_cayley_table`, one
+    row at a time, so no text of the whole table is held at once."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(rows) + "\n")
+        handle.write(f"{G.order}\n")
+        for row in G.table:
+            handle.write(" ".join(map(str, row.tolist())) + "\n")
 
 
 def read_permutation_generators(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:

@@ -389,15 +389,12 @@ def _product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 def _metacyclic_table(big_n: int, m: int, t: int, s: int) -> np.ndarray:
     """Table of <x, y | x^N = 1, y^m = x^s, y^-1 x y = x^t> on indices i + N*j.
 
-    Requires t**m = 1 (mod N) and s*(t - 1) = 0 (mod N); all families
-    routed here satisfy both, which makes the normal-form product
-    associative by the usual cyclic-extension argument.
+    Callers guarantee t**m = 1 (mod N) and s*(t - 1) = 0 (mod N), which
+    make the normal-form product associative by the usual cyclic-extension
+    argument: `construct` checks sdp's t**p = 1 (mod n), with s = 0, and
+    the dihedral, quaternion, semidihedral and modular data satisfy both
+    by construction.
     """
-    t %= big_n
-    if pow(t, m, big_n) != 1 % big_n or (s * (t - 1)) % big_n != 0:
-        raise InvalidParameterError(
-            f"inconsistent metacyclic data N={big_n}, m={m}, t={t}, s={s}"
-        )
     # u = t^-1 mod N moves x-powers leftward through y: y x^i y^-1 = x^(i*u)
     u = pow(t, m - 1, big_n)
     return _cyclic_extension(_cyclic_table(big_n), np.arange(big_n) * u % big_n, m, s)

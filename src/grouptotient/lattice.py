@@ -64,9 +64,10 @@ breadth-first walk over coset names: a right coset is named by its minimum and
 minima[r, x*s], and members are gathered only for a join that succeeds.
 The cosets of H in <H, a> are the same whatever set generates H, so a
 join whose a does not normalize H walks by H's own members (its level
-row) and a; a normalizing a walks by a alone.  No Python object is kept
-per subgroup: each level holds, beside its member matrix, an array of
-its rows' last chain generators, which the candidate mask reads.  One
+row) and a; for a normalizing a the sweep passes no members, and the
+join walks by a alone.  No Python object is kept per subgroup: each
+level holds, beside its member matrix, an array of its rows' last chain
+generators, which the candidate mask reads.  One
 argsort per level of more than one row, over the rows read as big-endian
 byte strings, gives the canonical order.  One pass after the sweep counts
 each subgroup's totient, batching consecutive rows of any widths up to
@@ -290,8 +291,8 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                 )
             join = ~step
             for i, b, nrm in zip(r[join].tolist(), a[join].tolist(), normal[join].tolist()):
-                # H's members but the identity generate H
-                joined = _join_with_element(table, minima[i], () if nrm else block[i, 1:].tolist(), b, nrm)
+                # H's members but the identity generate H; a normalizing b needs none
+                joined = _join_with_element(table, minima[i], () if nrm else block[i, 1:].tolist(), b)
                 if joined is not None:  # None: b is not the least new element of the join
                     accept(joined.astype(table.dtype)[None, :], (b,))
     if n not in levels:  # G's chain passes through a prime-index level, which was not swept
@@ -344,18 +345,19 @@ def _row_batches(levels):
     yield batch
 
 
-def _join_with_element(table, minima, gens, a, normal):
-    """Sorted members of <H, a>, given minima[x] = min(H*x) and H's members
-    (`gens`; any generating set of H will do); None as soon as a coset added
+def _join_with_element(table, minima, gens, a):
+    """Sorted members of <H, a>, given minima[x] = min(H*x) and `gens`: H's
+    members, or nothing when a normalizes H; None as soon as a coset added
     after H*a has its minimum below a.
 
     Dimino-style coset closure over coset names: a right coset is named by
     its minimum, and (H*x)*s = H*(x*s), so cosets are added until the
-    named ones are closed under the generators, and members are gathered
-    only for a join that succeeds.  When a normalizes H, H<a> is the union
-    of the cosets H*a^k, so a alone is enough and `gens` is not read.
+    named ones are closed under `gens` and a, and members are gathered
+    only for a join that succeeds.  Any generating set of H will do for
+    `gens`, and when a normalizes H, H<a> is the union of the cosets
+    H*a^k, so a alone is enough.
     """
-    gens = [a] if normal else [*gens, a]
+    gens = [*gens, a]
     seen = {0, a}
     names = [a]
     for x in names:  # breadth first: names grows while it is read

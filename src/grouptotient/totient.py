@@ -106,9 +106,6 @@ def dihedral_gauss_sum(n: int) -> int:
     return 3 * n + k * (n // 2 // primes) * numerator
 
 
-TWO_GROUP_FAMILIES = ("D", "Q", "SD")
-
-
 def two_group_gauss_sum(family: str, n: int) -> int:
     """Closed-form Gauss sums for the order-2^n groups with a cyclic
     maximal subgroup: dihedral (D), generalized quaternion (Q), and

@@ -13,9 +13,10 @@ overlaid with the given parameters.  The scan families are likewise the
 keys of one table, `_SCAN_CORPORA`, that maps each to its corpus builder.
 
 Suites share one per-process lattice cache: `summarize_spec` and the
-suites' `_group_and_lattice` enumerate a spec's lattice once and keep,
-keyed by (spec string, subgroup cap), only its level matrices, totient
-vector and cyclic sum, stored read-only.  A hit builds the group again
+suites reach a spec's lattice through `_cached_lattice`, which checks the
+order cap, enumerates the lattice once and keeps, keyed by (spec string,
+subgroup cap), only its level matrices, totient vector and cyclic sum,
+stored read-only.  A hit builds the group again
 from its spec (cheap and deterministic) and wraps the cached arrays.  The
 cache holds at most _LATTICE_CACHE_BYTES = 4 MiB of arrays, kept as a
 running total, evicting the least recently used; a larger lattice is
@@ -135,8 +136,12 @@ _LATTICE_CACHE_BYTES = 4 << 20
 
 
 def _cached_lattice(spec, max_order, max_subgroups) -> tuple[Group, Lattice]:
-    """The group of a suite spec and its lattice, enumerated at most once per
-    process while the lattice stays in the cache (see module docstring)."""
+    """The group of a suite spec (text or parsed) and its lattice, within both
+    caps, enumerated at most once per process while the lattice stays in the
+    cache (see module docstring)."""
+    if isinstance(spec, str):
+        spec = parse_spec(spec)
+    _require_order(spec.order(), max_order)
     G = construct(spec, max_order=max_order)
     key = (str(G.spec), max_subgroups)
     if key in _lattices:
@@ -321,12 +326,6 @@ def _parsed(corpus) -> list[GroupSpec]:
     return [parse_spec(text) if isinstance(text, str) else text for text in corpus]
 
 
-def _group_and_lattice(spec: GroupSpec, max_order, max_subgroups) -> tuple[Group, Lattice]:
-    """The group of a suite spec and its complete lattice, within both caps."""
-    _require_order(spec.order(), max_order)
-    return _cached_lattice(spec, max_order, max_subgroups)
-
-
 def _suite_thm3(result, params, max_order, max_subgroups) -> None:
     bound = params["max_order"]
     _require_order(bound, max_order)
@@ -368,7 +367,7 @@ def _suite_thm4(result, params, max_order, max_subgroups) -> None:
         pk = prime_power(spec.order())
         if pk is None or pk[1] < 4:
             raise InvalidParameterError(f"{spec}: corpus group must have order p^n, n >= 4")
-        G, L = _group_and_lattice(spec, max_order, max_subgroups)
+        G, L = _cached_lattice(spec, max_order, max_subgroups)
         witness = large_abelian_subgroup_witness(G, L)
         if witness is None:
             result.add(f"{spec}/no-witness", "no-witness", "no-witness")
@@ -395,7 +394,7 @@ def _suite_thm5(result, params, max_order, max_subgroups) -> None:
         _require_order(p**n, max_order)
         jobs.append((GroupSpec("modular", (p, n)), None))
     for spec, closed in jobs:
-        G, L = _group_and_lattice(spec, max_order, max_subgroups)
+        G, L = _cached_lattice(spec, max_order, max_subgroups)
         s = gauss_sum(G, L)
         if closed is not None:
             result.add(f"{spec}/closed-form", s, closed)
@@ -431,7 +430,7 @@ def _suite_thm8(result, params, max_order, max_subgroups) -> None:
     specs = [GroupSpec("dihedral", (n,)) for n in range(3, n_max + 1, 2)]
     specs += [pq_group_spec(p, q) for p, q in params["pairs"]]
     for spec in specs:
-        G, L = _group_and_lattice(spec, max_order, max_subgroups)
+        G, L = _cached_lattice(spec, max_order, max_subgroups)
         witness = fixed_point_free_decomposition(G, L)
         result.add(f"{spec}/witness", True, witness is not None)
         if witness is None:
@@ -446,7 +445,7 @@ def _suite_thm8(result, params, max_order, max_subgroups) -> None:
 def _suite_example_pq(result, params, max_order, max_subgroups) -> None:
     for p, q in params["pairs"]:
         spec = pq_group_spec(p, q)
-        G, L = _group_and_lattice(spec, max_order, max_subgroups)
+        G, L = _cached_lattice(spec, max_order, max_subgroups)
         s = gauss_sum(G, L)
         result.add(f"{spec}/gauss-sum", p * q, s)
         result.add(f"{spec}/subgroup-count", q + 3, len(L))
@@ -512,7 +511,7 @@ def _suite_cor2(result, params, max_order, max_subgroups) -> None:
     for spec in _parsed(params["corpus"]):
         if spec.order() > bound:
             raise RangeTooLargeError(f"{spec}: order {spec.order()} exceeds suite bound {bound}")
-        G, L = _group_and_lattice(spec, max_order, max_subgroups)
+        G, L = _cached_lattice(spec, max_order, max_subgroups)
         nilpotent = is_nilpotent(G, L)
         result.add(f"{spec}/nilpotent", True, nilpotent)
         if not nilpotent:  # no unique Sylow subgroups to factor over
@@ -532,7 +531,7 @@ CLOSING_CORPUS_DEFAULT = tuple(
 
 def _suite_closing_equality(result, params, max_order, max_subgroups) -> None:
     for spec in _parsed(params["corpus"]):
-        G, L = _group_and_lattice(spec, max_order, max_subgroups)
+        G, L = _cached_lattice(spec, max_order, max_subgroups)
         summary = _summary(G, L)
         # class membership is equivalent to the cyclic lower bound being attained
         result.add(str(spec), summary.in_class_c, summary.s_value == summary.cyclic_sum)

@@ -325,6 +325,23 @@ def test_cayley_body_is_read_into_an_index_dtype_table(tmp_path):
     assert peak < 5 * G.table.nbytes
 
 
+def test_cayley_table_is_written_one_row_at_a_time(tmp_path):
+    """The writer holds one row's text at a time: dihedral:500 (a 2 MiB
+    table) peaks under 2 MiB traced, where the text of the whole table
+    peaked at 34 MiB, and the file is the order line and then each row."""
+    G = construct("dihedral:500")
+    path = tmp_path / "d500.cayley"
+    tracemalloc.start()
+    try:
+        write_cayley_table(G, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    expected = "".join(" ".join(str(int(x)) for x in row) + "\n" for row in G.table)
+    assert path.read_bytes() == f"{G.order}\n{expected}".encode()
+
+
 def test_bad_row_is_located_in_the_memory_of_a_well_formed_read(tmp_path):
     """A bad token in the last row is located as that row is read, so the
     traced peak stays under the five tables of a well-formed read."""

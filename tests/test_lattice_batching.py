@@ -257,11 +257,16 @@ def test_join_is_the_closure_when_a_is_its_least_new_element(tmp_path):
     """The join contract outside the sweep's filters: for every subgroup H
     and every a outside H with min(H*a) = a, joining by H's members and a
     gives the naive closure K of H u {a} when a = min(K \\ H), and None
-    otherwise; when a normalizes H, walking by a alone gives the same."""
+    otherwise; when a normalizes H, joining by no members, a alone, gives
+    the same.  In the abelian groups every a normalizes H, so the walk by
+    a alone is checked for every candidate."""
     groups = {
         "a5": _groups(tmp_path)["a5"],
         "s4": _from_gens(tmp_path, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
         "dihedral:12": construct("dihedral:12"),
+        "cyclic:12": construct("cyclic:12"),
+        "abelian:2,4,8": construct("abelian:2,4,8"),
+        "abelian:3,9": construct("abelian:3,9"),
         "heisenberg:3": construct("heisenberg:3"),
         "relabelled sdp:7,3,2": _relabelled("sdp:7,3,2", seed=5),
     }
@@ -277,10 +282,10 @@ def test_join_is_the_closure_when_a_is_its_least_new_element(tmp_path):
                     continue
                 K = naive_closure(rows, inside | {a})
                 expected = sorted(K) if min(K - inside) == a else None
-                joined = lattice_mod._join_with_element(table, minima, H.members, a, False)
+                joined = lattice_mod._join_with_element(table, minima, H.members, a)
                 assert (None if joined is None else joined.tolist()) == expected, (name, H, a)
                 if {rows[rows[a][h]][inverses[a]] for h in inside} == inside:
-                    joined = lattice_mod._join_with_element(table, minima, (), a, True)
+                    joined = lattice_mod._join_with_element(table, minima, (), a)
                     assert (None if joined is None else joined.tolist()) == expected, (name, H, a)
                 outcomes.add(expected is None)
         assert outcomes == {False, True}, name

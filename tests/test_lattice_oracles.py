@@ -68,6 +68,7 @@ PERMUTATION_GROUPS = {
     "a5": (5, [_cycle(5, [0, 1, 2, 3, 4]), _cycle(5, [0, 1, 2])]),
     "psl2_7": (8, _psl2_7()),
     "s6": (6, [_cycle(6, [0, 1, 2, 3, 4, 5]), _cycle(6, [0, 1])]),
+    "s5": (5, [_cycle(5, [0, 1, 2, 3, 4]), _cycle(5, [0, 1])]),
     "s4": (4, [_cycle(4, [0, 1, 2, 3]), _cycle(4, [0, 1])]),
 }
 
@@ -183,17 +184,33 @@ def test_least_generators_match_brute_force(spec):
 # (order, subgroups, totient of each) by subgroup class, derived by hand.
 # A5: trivial, 15 involutions, 10 C3, 5 V4, 6 C5, 10 S3, 6 D10, 5 A4, A5.
 # S4: trivial, 9 C2, 4 C3, 3 C4, 4 V4 (the normal one and a class of 3),
-# 4 S3, 3 D8, A4, S4.  A totient counts the elements whose order is the
-# exponent: 3 in V4, 2 in D8 and none in S3, D10, A4, A5 or S4.
+# 4 S3, 3 D8, A4, S4.
+# S5: trivial, 25 C2 (10 by transpositions, 15 by double transpositions),
+# 10 C3, 15 C4, 20 V4 (5 normal in an S4, 15 such as <(12), (34)>), 6 C5,
+# 10 C6 = <(123)(45)>, 20 S3 (10 on three points, 10 twisted such as
+# <(123), (12)(45)>), 15 D8, 6 D10, 5 A4, 10 S3 x C2, 6 F20, 5 S4, A5, S5.
+# PSL(2,7): trivial, 21 C2, 28 C3, 21 C4, 14 V4 (two classes of 7),
+# 28 S3, 8 C7, 21 D8, 14 A4 (two classes of 7), 8 C7:C3, 14 S4 (two
+# classes of 7), PSL(2,7).
+# A totient counts the elements whose order is the exponent: 3 in V4, 2 in
+# C6, D8 and S3 x C2, and none in S3, D10, A4, F20, C7:C3, S4 or a
+# non-abelian simple group.  Classes of one order and totient share a row.
 SUBGROUP_CLASS_TABLES = {
     "a5": [(1, 1, 1), (2, 15, 1), (3, 10, 2), (4, 5, 3), (5, 6, 4), (6, 10, 0), (10, 6, 0),
            (12, 5, 0), (60, 1, 0)],
     "s4": [(1, 1, 1), (2, 9, 1), (3, 4, 2), (4, 3, 2), (4, 4, 3), (6, 4, 0), (8, 3, 2),
            (12, 1, 0), (24, 1, 0)],
+    "s5": [(1, 1, 1), (2, 25, 1), (3, 10, 2), (4, 15, 2), (4, 20, 3), (5, 6, 4), (6, 10, 2),
+           (6, 20, 0), (8, 15, 2), (10, 6, 0), (12, 5, 0), (12, 10, 2), (20, 6, 0), (24, 5, 0),
+           (60, 1, 0), (120, 1, 0)],
+    "psl2_7": [(1, 1, 1), (2, 21, 1), (3, 28, 2), (4, 21, 2), (4, 14, 3), (6, 28, 0), (7, 8, 6),
+               (8, 21, 2), (12, 14, 0), (21, 8, 0), (24, 14, 0), (168, 1, 0)],
 }
 
 
-@pytest.mark.parametrize("name,count,s_value", [("a5", 59, 75), ("s4", 30, 42)])
+@pytest.mark.parametrize(
+    "name,count,s_value", [("a5", 59, 75), ("s4", 30, 42), ("s5", 156, 230), ("psl2_7", 179, 252)]
+)
 def test_nonabelian_gauss_sums_from_subgroup_class_tables(tmp_path, name, count, s_value):
     rows = SUBGROUP_CLASS_TABLES[name]
     assert sum(c for _, c, _ in rows) == count

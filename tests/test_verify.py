@@ -189,6 +189,11 @@ def test_range_too_large():
         run_suite("closing_equality", {"corpus": ["cyclic:60"]}, max_order=50)
     with pytest.raises(RangeTooLargeError):
         run_suite("thm4", {"corpus": ["abelian:2,2,2,2,2,2"]}, max_order=32)
+    # prop1 and the summaries it reads check the cap through the same lattice cache
+    with pytest.raises(RangeTooLargeError):
+        run_suite("prop1", {"pairs": [["cyclic:4", "cyclic:9"]]}, max_order=20)
+    with pytest.raises(RangeTooLargeError):
+        summarize_spec("cyclic:30", max_order=20)
 
 
 def test_pq_group_spec():
@@ -391,8 +396,8 @@ def test_suite_lattices_are_enumerated_once_per_spec(monkeypatch):
     spec = parse_spec("product:(dihedral:3)x(cyclic:4)")
     expected = summarize(construct(spec))
     verify_mod, calls = _fresh_lattice_cache(monkeypatch)
-    G1, L1 = verify_mod._group_and_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
-    G2, L2 = verify_mod._group_and_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
+    G1, L1 = verify_mod._cached_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
+    G2, L2 = verify_mod._cached_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
     assert calls == [str(spec)]
     assert G2 is not G1 and L2.group is G2 and np.array_equal(G2.table, G1.table)
     assert L2.levels.keys() == L1.levels.keys()
@@ -407,7 +412,7 @@ def test_suite_lattices_are_enumerated_once_per_spec(monkeypatch):
     assert summary == expected
     assert summarize_spec(str(spec), DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS - 1) is summary
     assert calls == [str(spec)] * 2  # the cap is part of the key
-    verify_mod._group_and_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS - 1)
+    verify_mod._cached_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS - 1)
     assert len(calls) == 2
 
 
@@ -415,7 +420,7 @@ def test_lattice_cache_evicts_the_least_recently_used(monkeypatch):
     verify_mod, calls = _fresh_lattice_cache(monkeypatch)
 
     def lattice(text):
-        return verify_mod._group_and_lattice(parse_spec(text), DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)[1]
+        return verify_mod._cached_lattice(text, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)[1]
 
     size = {
         text: sum(a.nbytes for a in [*L.levels.values(), L.totients])
