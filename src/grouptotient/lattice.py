@@ -79,8 +79,13 @@ subgroup.  The rank-8 elementary abelian group (417199 subgroups) takes
 0.5-0.65 s, totients included, on a 2-vCPU Xeon host.
 
 The lattice keeps these level matrices and the totient vector; Subgroup
-objects are built on first read, so summaries never build one, and every
-containment query is a `Lattice.contained_in` row test over the levels.
+objects are built on first read, so summaries never build one.  The
+down-set of one subgroup is a `Lattice.contained_in` row test over the
+levels.  The walk for the maximal subgroups keeps the down-set it takes
+of each maximum, so the Frattini subgroup is the last row the AND of
+those down-sets keeps, with no second walk.  `is_normal` conjugates one
+generator of each cyclic subgroup of H, and `complements` is one mask
+test over the level of order |G|/|N|.
 `Lattice.totients` is the package's only per-subgroup totient; its last
 entry, the row of G itself, is the group totient that summaries report.
 """
@@ -372,53 +377,76 @@ def _join_with_element(table, minima, gens, a):
     return np.flatnonzero(inside[minima])
 
 
-def maximal_subgroups(L: Lattice) -> list[Subgroup]:
-    """Proper subgroups in no larger proper subgroup, in canonical order,
-    read from the largest order down: a non-maximal H lies in some
-    maximal subgroup of larger order, which is kept before H is seen."""
+def _maxima(L: Lattice) -> list[tuple[int, np.ndarray]]:
+    """(index, down-set) of each maximal subgroup, in canonical order: the
+    proper subgroups in no larger proper subgroup, read from the largest
+    order down, since a non-maximal H lies in some maximal subgroup of
+    larger order, which is kept before H is seen.  The down-set, the bool
+    vector of the subgroups inside the maximum, is the one the walk marks
+    as covered."""
     covered = np.zeros(len(L), dtype=bool)
-    maxima: list[Subgroup] = []
+    maxima = []
     for i in range(len(L) - 2, -1, -1):
         if not covered[i]:
-            maxima.append(L.subgroups[i])
-            covered |= L.contained_in(L.subgroups[i].members)
+            down = L.contained_in(L.subgroups[i].members)
+            covered |= down
+            maxima.append((i, down))
     return maxima[::-1]
 
 
+def maximal_subgroups(L: Lattice) -> list[Subgroup]:
+    """Proper subgroups in no larger proper subgroup, in canonical order."""
+    return [L.subgroups[i] for i, _ in _maxima(L)]
+
+
 def frattini(L: Lattice) -> Subgroup:
-    """Intersection of all maximal subgroups: the largest subgroup inside every maximum."""
+    """Intersection of all maximal subgroups: the largest subgroup inside
+    every maximum, the last one the AND of their down-sets keeps."""
     inside = np.ones(len(L), dtype=bool)
-    for M in maximal_subgroups(L):
-        inside &= L.contained_in(M.members)
+    for _, down in _maxima(L):
+        inside &= down
     return L.subgroups[int(np.flatnonzero(inside)[-1])]
 
 
 def is_normal(G: Group, H: Subgroup) -> bool:
     """True iff g H g^-1 = H for every g.  Conjugation is a bijection, so
-    g H g^-1 inside H is enough; the conjugates are gathered over slices of
-    H's members, at most _BATCH_LIMIT of them at once, as the sweep does."""
+    g H g^-1 inside H is enough, and as H is the union of its cyclic
+    subgroups and g<x>g^-1 = <g x g^-1>, only one generator x of each needs
+    conjugating: H's least generators in ascending order, each skipped when
+    a power of one already taken.  Their conjugates are gathered over slices
+    of at most _BATCH_LIMIT entries, as the sweep does."""
     if G.is_abelian():
         return True
+    walks = G.least_generators()
+    covered: set[int] = set()
+    gens = []
+    for x in H.members[1:].tolist():  # members[0] is the identity
+        if x not in covered and x in walks:
+            gens.append(x)
+            covered.update(walks[x])
     table = G.table
     inv = G.inverses()[:, None]
-    members = H.members
     inside = np.zeros(G.order, dtype=bool)
-    inside[members] = True
+    inside[H.members] = True
     width = max(1, _BATCH_LIMIT // G.order)
-    # table[table[g, h], inv[g]] = g * h * g^-1
-    slices = (table[:, members[j : j + width]] for j in range(0, len(members), width))
-    return all(inside[table[gh, inv]].all() for gh in slices)
+    # table[table[g, x], inv[g]] = g * x * g^-1
+    slices = (table[:, gens[j : j + width]] for j in range(0, len(gens), width))
+    return all(inside[table[gx, inv]].all() for gx in slices)
 
 
 def complements(G: Group, N: Subgroup, L: Lattice) -> list[Subgroup]:
-    """All K in L with |K| * |N| = |G| and trivial intersection with N."""
+    """All K in L with |K| * |N| = |G| and trivial intersection with N: the
+    rows of level |G| / |N| holding one member of N, the identity."""
     if not is_normal(G, N):
         raise NotNormalError("complement counting requires a normal subgroup")
     if G.order % N.order != 0:
         raise NotNormalError("subgroup order must divide the group order")
+    level = L.levels.get(G.order // N.order)
+    if level is None:
+        return []
     inside = np.zeros(G.order, dtype=bool)
     inside[N.members] = True
-    return [K for K in L.of_order(G.order // N.order) if inside[K.members].sum() == 1]
+    return [Subgroup(G, level[i]) for i in np.flatnonzero(inside[level].sum(axis=1) == 1)]
 
 
 def is_nilpotent(G: Group, L: Lattice) -> bool:
@@ -437,24 +465,31 @@ def sylow_subgroups(G: Group, L: Lattice) -> dict[int, list[Subgroup]]:
 def large_abelian_subgroup_witness(G: Group, L: Lattice) -> tuple[int, int] | None:
     """First abelian subgroup of order p^m and rank r with m + r >= n + 2,
     where |G| = p^n, in canonical order; None when no such subgroup exists.
-    The rank is at most m, so only levels with 2m >= n + 2 are read."""
+    The rank is at most m, so only levels with 2m >= n + 2 are read.  An
+    abelian row of rank r has p^r solutions of x^p = e, so a level's rows
+    with fewer than p^(n+2-m) are dropped first; in a non-abelian G the
+    rest are tested a chunk at a time, a row being abelian when its member
+    table, gathered for the whole chunk, equals its transpose."""
     pk = prime_power(G.order)
     if pk is None:
         raise NotPrimePowerError(f"group order {G.order} is not a prime power")
     p, n = pk
-    parent_orders = G.element_orders()
-    table = G.table
+    low = G.element_orders() <= p  # x^p = e
+    products = G.table.ravel()
+    abelian = G.is_abelian()
     for order, level in L.levels.items():
         m = valuation(order, p)
         if 2 * m < n + 2:
             continue
-        for members in level:
-            sub_table = table[np.ix_(members, members)]
-            if not np.array_equal(sub_table, sub_table.T):
-                continue
-            # rank = log_p of the number of solutions of x^p = e
-            low = int(np.count_nonzero(parent_orders[members] <= p))
-            r = integer_log(low, p)
-            if m + r >= n + 2:
-                return (m, r)
+        solutions = np.count_nonzero(low[level], axis=1)
+        candidates = np.flatnonzero(solutions >= p ** (n + 2 - m))
+        chunk = max(1, _BATCH_LIMIT // (order * order))
+        for start in range(0, len(candidates), chunk):
+            rows = candidates[start : start + chunk]
+            if not abelian:
+                members = level[rows].astype(np.intp)
+                sub = products.take(members[:, :, None] * G.order + members[:, None, :])
+                rows = rows[(sub == sub.transpose(0, 2, 1)).all(axis=(1, 2))]
+            if len(rows):
+                return (m, integer_log(int(solutions[rows[0]]), p))
     return None

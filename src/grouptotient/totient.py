@@ -8,6 +8,11 @@ flag, which for cyclic groups is the classical divisor identity.  The
 per-subgroup totients are counted once, in the lattice pass
 (`Lattice.totients`); the sums here read them rather than count again.
 Every closed form is evaluated in integers.
+
+The decomposition search reads a level of prime index p only when it
+holds one subgroup: when p^2 does not divide |G|, a subgroup of index p
+is a Hall subgroup, and a Hall subgroup is normal exactly when it is the
+only subgroup of its order, so no normality test runs per subgroup.
 """
 
 from __future__ import annotations
@@ -18,7 +23,13 @@ import numpy as np
 
 from .errors import InvalidParameterError, MixedPrimesError
 from .groups import AbelianType, Group
-from .lattice import Lattice, Subgroup, complements, cyclic_subgroups, is_normal
+from .lattice import (
+    Lattice,
+    Subgroup,
+    complements,
+    cyclic_subgroups,
+    is_normal,  # not called here; perfbench/spans.py wraps it in this namespace by name
+)
 from .numtheory import euler_phi, factorize, is_prime, prime_power, valuation
 
 
@@ -152,22 +163,26 @@ def fixed_point_free_decomposition(
     with a complement H of prime order p acting without nontrivial fixed
     points on N.  Returns the first witness in canonical order, or None.
     Only the levels of prime index p, p^2 not dividing n, are read, largest
-    p (smallest N, first in canonical order) first.
+    p (smallest N, first in canonical order) first.  Every subgroup of such
+    a level is a Hall subgroup, and a Hall subgroup is normal exactly when
+    it is the only subgroup of its order (M. Hall, The Theory of Groups,
+    ch. 9), so a level is read only when it has one row.
     """
     n = G.order
     table = G.table
     inv = G.inverses()
     for p in sorted(factorize(n), reverse=True):
-        if p == n or n % (p * p) == 0:
+        level = L.levels.get(n // p, ())
+        if p == n or n % (p * p) == 0 or len(level) != 1:
             continue
-        for N in L.of_order(n // p):
-            if not subgroup_is_cyclic(N) or not is_normal(G, N):
-                continue
-            members = np.asarray(N.members, dtype=np.int64)
-            for H in complements(G, N, L):
-                h = int(H.members[1])
-                conj = table[table[h, members], inv[h]]
-                if int(np.count_nonzero(conj == members)) == 1:
-                    return (N, H, p)
+        N = Subgroup(G, level[0])
+        if not subgroup_is_cyclic(N):
+            continue
+        members = np.asarray(N.members, dtype=np.int64)
+        for H in complements(G, N, L):
+            h = int(H.members[1])
+            conj = table[table[h, members], inv[h]]
+            if int(np.count_nonzero(conj == members)) == 1:
+                return (N, H, p)
     return None
 

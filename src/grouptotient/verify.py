@@ -24,6 +24,14 @@ never stored.  The nine theorem
 suites of the benchmark leave 0.1 MiB of arrays in it (149 lattices).
 Scans summarize without it: each of their groups is seen once, so
 caching would only hold memory.
+
+Structure queries read the finished lattice in batches.  The
+inclusion-exclusion identity reads each S(M) off the down-set that the
+walk for the maximal subgroups keeps of M, and S(Frattini) off the AND
+of those down-sets, since K lies in the Frattini subgroup exactly when
+it lies in every maximal subgroup.  The class closure marks a chunk of
+one level's rows at a time and tests every level whose order divides
+theirs against the marks, so it makes no query per subgroup.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ from collections import OrderedDict
 from functools import lru_cache
 from itertools import chain, count, product, repeat, takewhile
 
+import numpy as np
+
 from .catalogue import CatalogueEntry
 from .errors import (
     InvalidParameterError,
@@ -43,16 +53,17 @@ from .errors import (
     RangeTooLargeError,
     UnknownSuiteError,
 )
-from .groups import DEFAULT_MAX_ORDER, AbelianType, Group, GroupSpec, construct, parse_spec
+from .groups import _BATCH_LIMIT, DEFAULT_MAX_ORDER, AbelianType, Group, GroupSpec, construct, parse_spec
 from .lattice import (
     DEFAULT_MAX_SUBGROUPS,
     Lattice,
+    _maxima,
     all_subgroups,
     complements,
-    frattini,
+    frattini,  # not called here; perfbench/spans.py wraps it in this namespace by name
     is_nilpotent,
     large_abelian_subgroup_witness,
-    maximal_subgroups,
+    maximal_subgroups,  # not called here; perfbench/spans.py wraps it in this namespace by name
     sylow_subgroups,
 )
 from .numtheory import divisors, euler_phi, factorize, is_prime, prime_power
@@ -168,26 +179,48 @@ def class_subgroup_closure(G: Group, L: Lattice) -> list[tuple[int, bool]]:
     """Class membership of every subgroup, read off the parent lattice:
     (subgroup order, Gauss sum equals order) per subgroup in canonical
     order.  Lets scans probe empirically whether membership is inherited
-    by subgroups."""
-    return [
-        (H.order, subgroup_gauss_sum_from_lattice(L, H) == H.order) for H in L.subgroups
-    ]
+    by subgroups.
+
+    One level of H at a time, a chunk of its rows marked in a bool
+    (rows, |G|) matrix: for every level K whose order divides |H|, the
+    marks gathered at K's members and reduced with `all` say which K lie
+    in which H, and their totients are added into S(H).  No gather holds
+    more than _BATCH_LIMIT entries unless one row alone is wider."""
+    totients = np.split(L.totients, np.cumsum([len(level) for level in L.levels.values()])[:-1])
+    closure = []
+    chunk = max(1, _BATCH_LIMIT // G.order)
+    for h, level in L.levels.items():
+        for start in range(0, len(level), chunk):
+            block = level[start : start + chunk]
+            marks = np.zeros((len(block), G.order), dtype=bool)
+            marks[np.arange(len(block))[:, None], block] = True
+            sums = np.zeros(len(block), dtype=np.int64)
+            for (k, down), phis in zip(L.levels.items(), totients):
+                if h % k:
+                    continue
+                step = max(1, _BATCH_LIMIT // (len(block) * k))
+                for j in range(0, len(down), step):
+                    sums += marks[:, down[j : j + step]].all(axis=2) @ phis[j : j + step]
+            closure += zip(repeat(h), (sums == h).tolist())
+    return closure
 
 
 def inclusion_exclusion_residual(G: Group, L: Lattice) -> tuple[int, int]:
     """Both sides of the maximal-subgroup inclusion-exclusion identity
     S(G) = phi(G) + sum_i S(M_i) - p * S(Frattini) for p-groups with
-    p + 1 maximal subgroups."""
+    p + 1 maximal subgroups.  Each S(M_i) sums the totients of M_i's
+    down-set, and K lies in the Frattini subgroup exactly when it lies in
+    every M_i, so S(Frattini) sums those of the AND of the down-sets."""
     pk = prime_power(G.order)
     if pk is None:
         raise NotPrimePowerError(f"group order {G.order} is not a prime power")
     p = pk[0]
-    maxima = maximal_subgroups(L)
+    downs = [down for _, down in _maxima(L)]
     lhs = gauss_sum(G, L)
     rhs = (
         int(L.totients[-1])
-        + sum(subgroup_gauss_sum_from_lattice(L, M) for M in maxima)
-        - p * subgroup_gauss_sum_from_lattice(L, frattini(L))
+        + sum(int(L.totients[down].sum()) for down in downs)
+        - p * int(L.totients[np.logical_and.reduce(downs)].sum())
     )
     return lhs, rhs
 

@@ -331,13 +331,21 @@ def _scanned_witness(G, L):
     return None
 
 
-@pytest.mark.parametrize("spec", [*THM4_CORPUS_DEFAULT, "modular:3,3"])
-def test_abelian_subgroup_witness_matches_a_scan_of_every_subgroup(spec):
+@pytest.mark.parametrize(
+    "spec", [*THM4_CORPUS_DEFAULT, "modular:3,3", "abelian:2,2,2,4", "product:(dihedral:4)x(abelian:2,2)"]
+)
+def test_abelian_subgroup_witness_matches_a_scan_of_every_subgroup(spec, monkeypatch):
     """The witness, which reads only levels with 2m >= n + 2 (the rank r is
-    at most m), is the first one a scan of every subgroup finds."""
+    at most m), is the first one a scan of every subgroup finds, whether a
+    level's member tables are built in one chunk or one row at a time."""
+    import grouptotient.lattice as lattice_mod
+
     G = construct(spec)
     L = all_subgroups(G)
-    assert large_abelian_subgroup_witness(G, L) == _scanned_witness(G, L)
+    expected = _scanned_witness(G, L)
+    for budget in (lattice_mod._BATCH_LIMIT, 0):
+        monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", budget)
+        assert large_abelian_subgroup_witness(G, L) == expected, budget
 
 
 def test_abelian_subgroup_witness_requires_prime_power():

@@ -19,6 +19,7 @@ from grouptotient import (
     construct,
     gauss_sum,
     is_nilpotent,
+    is_prime,
     parse_spec,
     pq_group_spec,
     run_scan,
@@ -41,7 +42,7 @@ from grouptotient.verify import (
     family_specs,
     subgroup_gauss_sum_from_lattice,
 )
-from naive_oracles import as_group
+from naive_oracles import as_group, naive_is_normal, naive_order
 
 
 def test_verify_classical_gauss_small():
@@ -557,20 +558,27 @@ def test_near_miss_semidirect_product_without_witness():
 
 
 def _linear_decomposition(G, L):
-    """The decomposition witness search as one pass over every subgroup."""
-    from grouptotient import complements, is_normal, is_prime, subgroup_is_cyclic
-
-    n, table, inv = G.order, G.table, G.inverses()
+    """The decomposition witness search as one pass over every subgroup,
+    testing normality, cyclicity, complements and fixed points on Python
+    lists and sets alone."""
+    table = G.table.tolist()
+    n = len(table)
     for N in L.subgroups:
-        index = n // N.order
-        if N.order in (1, n) or not is_prime(index) or math.gcd(N.order, index) != 1:
+        members = N.members.tolist()
+        index = n // len(members)
+        if len(members) in (1, n) or not is_prime(index) or math.gcd(len(members), index) != 1:
             continue
-        if not subgroup_is_cyclic(N) or not is_normal(G, N):
+        if all(naive_order(table, x) != len(members) for x in members):
             continue
-        for H in complements(G, N, L):
-            h = int(H.members[1])
-            if int((table[table[h, N.members], inv[h]] == N.members).sum()) == 1:
-                return (N, H, index)
+        if not naive_is_normal(table, members):
+            continue
+        for H in L.subgroups:
+            if len(H) != index or set(H.members.tolist()) & set(members) != {0}:
+                continue
+            h = H.members.tolist()[1]
+            inverse = next(y for y in range(n) if table[h][y] == 0)
+            if sum(table[table[h][x]][inverse] == x for x in members) == 1:
+                return (members, H.members.tolist(), index)
     return None
 
 
@@ -580,12 +588,15 @@ def test_decomposition_reads_only_prime_index_levels():
 
     specs = [f"dihedral:{n}" for n in range(3, 46, 2)]
     specs += [str(pq_group_spec(p, q)) for p, q in PQ_PAIRS_DEFAULT]
-    specs += ["dihedral:12", "cyclic:12", "sdp:15,2,4", "cyclic:7", "dihedral:4"]
+    specs += ["dihedral:12", "cyclic:12", "sdp:15,2,4", "cyclic:7", "dihedral:4", "sdp:7,3,2"]
     for spec in specs:
         G = construct(spec)
         L = all_subgroups(G)
         witness = fixed_point_free_decomposition(G, L)
         assert L._subgroups is None, spec
+        if witness is not None:
+            N, H, p = witness
+            witness = (N.members.tolist(), H.members.tolist(), p)
         assert witness == _linear_decomposition(G, L), spec
 
 
