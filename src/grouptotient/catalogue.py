@@ -7,7 +7,10 @@ the identity; the table is fully validated (identity, Latin square,
 associativity) before a group is returned.  Line 1 is read alone, so an
 order over the cap is refused before the body is read.  The file is read
 once: a bad row is located on the line where it is read, in the memory of
-a well-formed read, and reported once the rows are counted.  In either
+a well-formed read, and reported once the rows are counted.  A row is
+parsed by one np.fromstring call; a line with a sign or only whitespace,
+or one that call rejects, miscounts or finds out of range, is read by
+int() from its split tokens, which accepts and locates errors.  In either
 format a byte that is not valid UTF-8 is a ParseError on its own line,
 though the decoder reads ahead of the line being parsed.
 
@@ -27,6 +30,7 @@ two elements is ever formed as a permutation.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,28 +59,30 @@ def read_cayley_table(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     """Parse and fully validate a Cayley-table file; an order above
     `max_order` is refused after reading line 1 alone.  The body is read
     one line at a time into a table already in the group's index dtype."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle, warnings.catch_warnings():
+        # numpy 1.x warns on a line it cannot read to its end, and reads it in part
+        warnings.filterwarnings("error", "string or file could not be read", DeprecationWarning)
         text = _lines(handle)
         n = _read_header(text, "order")
         if n > max_order:
             raise OrderOverflowError(n, max_order)
         table = np.empty((n, n), dtype=_index_dtype(n))
-        row = np.empty(n, dtype=np.int64)
         error = None  # the first bad row's, raised once the rows are counted
         lines = rows = 0  # rows: the lines up to the last non-empty one
         for line in text:
             if error is None and lines < n:
-                tokens = line.split()
-                try:
-                    row[:] = tokens
-                    # a single token would fill the whole row; as unsigned, a
-                    # negative entry is above n too
-                    parsed = len(tokens) == n and row.view(np.uint64).max() < n
-                except (ValueError, OverflowError):
-                    parsed = False
-                if not parsed:
+                try:  # numpy reads a lone sign or a blank line as 0: int() reads such lines
+                    fast = "-" not in line and "+" not in line and not line.isspace()
+                    values = np.fromstring(line, dtype=np.int64, sep=" ") if fast else ()
+                except (ValueError, DeprecationWarning):
+                    values = ()
+                if len(values) == n and values.max() < n:
+                    table[lines] = values
+                else:
+                    tokens = line.split()
                     error = _row_error(tokens, n, lines + 2)
-                table[lines] = row
+                    if error is None:
+                        table[lines] = [int(token) for token in tokens]
             lines += 1
             if line:
                 rows = lines
@@ -88,10 +94,10 @@ def read_cayley_table(path, max_order: int = DEFAULT_MAX_ORDER) -> Group:
     return Group(table)
 
 
-def _row_error(tokens: list[str], n: int, line_no: int) -> ParseError:
-    """Locate the fault in a row numpy rejected: a wrong entry count, or the
-    first token that int() cannot read or that lies outside 0..n-1.  numpy
-    reads each token with int(), so the walk meets the fault numpy met."""
+def _row_error(tokens: list[str], n: int, line_no: int) -> ParseError | None:
+    """Locate the fault in a row np.fromstring did not read: a wrong entry
+    count, or the first token that int() cannot read or that lies outside
+    0..n-1; None when int() reads the whole row."""
     if len(tokens) != n:
         return ParseError(f"expected {n} entries, found {len(tokens)}", line_no)
     for c, token in enumerate(tokens, start=1):

@@ -450,6 +450,9 @@ def validate_table(table: np.ndarray) -> None:
     O(n^3) of testing every triple; a failure names a triple (x, a, y)
     with (x*a)*y != x*(a*y).  A table of any dtype but an integer type
     (float or bool) raises InvalidParameterError before any axiom is tested.
+    The Latin-square test sorts nothing: it marks the entries of blocks of
+    rows, then of columns, in bool matrices; the least index whose row or
+    column repeats is named, its row first, with the first repeat.
     """
     n = table.shape[0]
     if table.shape != (n, n):
@@ -463,8 +466,7 @@ def validate_table(table: np.ndarray) -> None:
     if not np.array_equal(table[0], ident) or not np.array_equal(table[:, 0], ident):
         raise IdentityNotZeroError("row/column 0 is not the identity")
     t = table.astype(_index_dtype(n), copy=False)
-    bad_rows = (np.sort(t, axis=1) != ident).any(axis=1)
-    bad_cols = (np.sort(t, axis=0) != ident[:, None]).any(axis=0)
+    bad_rows, bad_cols = _non_permutations(t), _non_permutations(t.T)
     bad = np.flatnonzero(bad_rows | bad_cols)
     if bad.size:
         a = int(bad[0])
@@ -496,6 +498,21 @@ def _close_under_products(t: np.ndarray, closed: np.ndarray, a: int) -> None:
         reached[t[np.ix_(members, new)]] = True
         reached[t[np.ix_(new, members)]] = True
         new = np.flatnonzero(reached & ~closed)
+
+
+def _non_permutations(t: np.ndarray) -> np.ndarray:
+    """Which rows of `t`, n x n with entries in 0..n-1, are not permutations:
+    each block of rows marks its entries in a bool matrix through int64 flat
+    indices (a copy of at most _BATCH_LIMIT bytes), so nothing is sorted."""
+    n = len(t)
+    step = max(1, _BATCH_LIMIT // (8 * n))
+    bad = np.empty(n, dtype=bool)
+    for r in range(0, n, step):
+        block = t[r : r + step]
+        seen = np.zeros(block.size, dtype=bool)
+        seen[np.arange(0, block.size, n)[:, None] + block] = True
+        bad[r : r + step] = ~seen.reshape(block.shape).all(axis=1)
+    return bad
 
 
 def _first_duplicate(row: np.ndarray) -> tuple[int, int]:

@@ -168,6 +168,13 @@ def fixed_point_free_decomposition(
     it is the only subgroup of its order (M. Hall, The Theory of Groups,
     ch. 9), so a level is read only when it has one row.
     """
+    found = _decomposition_and_complements(G, L)
+    return None if found is None else found[:3]
+
+
+def _decomposition_and_complements(G: Group, L: Lattice):
+    """fixed_point_free_decomposition's witness (N, H, p) and the list of
+    N's complements H was found in, or None."""
     n = G.order
     table = G.table
     inv = G.inverses()
@@ -179,10 +186,11 @@ def fixed_point_free_decomposition(
         if not subgroup_is_cyclic(N):
             continue
         members = np.asarray(N.members, dtype=np.int64)
-        for H in complements(G, N, L):
+        found = complements(G, N, L)
+        for H in found:
             h = int(H.members[1])
             conj = table[table[h, members], inv[h]]
             if int(np.count_nonzero(conj == members)) == 1:
-                return (N, H, p)
+                return (N, H, p, found)
     return None
 

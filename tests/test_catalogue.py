@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -398,19 +399,83 @@ def test_blank_body_lines(tmp_path, content, line):
         assert info.value.line == line
 
 
-@pytest.mark.parametrize("token", ["+3", "-1", "1_0", "\u0663", "1.0", "0x1", ""])
+@pytest.mark.parametrize(
+    "token",
+    ["+3", "-1", "1_0", "\u0663", "1.0", "0x1", "5.", "1e3", "inf", "nan", "99999999999999999999", "1\xa02", ""],
+)
 def test_numpy_parses_table_tokens_as_int_does(token):
-    """read_cayley_table parses rows with numpy and walks them with int()
-    only to locate an error, so both must accept and reject alike."""
+    """read_cayley_table reads a row with one np.fromstring call, and reads
+    a row that call rejects, miscounts or finds out of range with int() on
+    its split tokens.  So the fast call must read int()'s values, reject the
+    text, or read a value above every order (it clamps an overflow to the
+    int64 maximum)."""
+    top = np.iinfo(np.int64).max
     try:
-        expected = int(token)
+        expected = [int(t) for t in token.split()]
     except ValueError:
         expected = None
     try:
-        got = int(np.array([token], dtype=np.int64)[0])
+        fast = np.fromstring(token, dtype=np.int64, sep=" ").tolist()
     except ValueError:
-        got = None
-    assert got == expected
+        fast = None
+    assert fast in (None, expected) or max(fast) == top
+
+
+@pytest.mark.parametrize(
+    "content,line,col,message",
+    [
+        ("1\n \n", 2, None, "expected 1 entries, found 0"),
+        ("1\n\t\n", 2, None, "expected 1 entries, found 0"),
+        ("1\n-\n", 2, 1, "non-integer entry '-'"),
+        ("1\n- 0\n", 2, None, "expected 1 entries, found 2"),
+        ("2\n0 1\n1 -\n", 3, 2, "non-integer entry '-'"),
+        ("2\n0 +\n1 0\n", 2, 2, "non-integer entry '+'"),
+        ("2\n0 1\n1 + 0\n", 3, None, "expected 2 entries, found 3"),
+    ],
+)
+def test_signed_and_blank_lines_are_read_by_int(tmp_path, content, line, col, message):
+    """np.fromstring reads a blank line as [0], a lone sign as 0 and a sign
+    and a digit parted by spaces as one number: such lines are read by
+    int(), which rejects each at the same place as before."""
+    path = tmp_path / "signs.cayley"
+    path.write_text(content)
+    with pytest.raises(ParseError) as info:
+        read_cayley_table(path)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert message in str(info.value)
+
+
+def test_a_numpy_that_warns_on_unmatched_text_falls_back_to_int(tmp_path, monkeypatch):
+    """Older numpy warns on text it cannot read to its end and returns the
+    numbers before it; the reader turns that warning into an error, so the
+    row "0 1x" is located by int() rather than read as [0, 1]."""
+    fromstring = np.fromstring
+
+    def warning_fromstring(text, dtype, sep):
+        try:
+            return fromstring(text, dtype=dtype, sep=sep)
+        except ValueError:
+            warnings.warn("string or file could not be read to its end due to unmatched data", DeprecationWarning)
+            cut = max(k for k in range(len(text)) if _reads(fromstring, text[:k]))
+            return fromstring(text[:cut], dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", warning_fromstring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert warning_fromstring("0 1x", dtype=np.int64, sep=" ").tolist() == [0, 1]
+    path = tmp_path / "z2.cayley"
+    path.write_text("2\n0 1x\n1 0\n")
+    with pytest.raises(ParseError) as info:
+        read_cayley_table(path)
+    assert (info.value.line, info.value.col) == (2, 2)
+
+
+def _reads(fromstring, text):
+    try:
+        fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize(

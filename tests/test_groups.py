@@ -19,6 +19,7 @@ from grouptotient import (
     summarize,
     validate_table,
 )
+from grouptotient import groups
 from grouptotient.groups import _product_table
 from grouptotient.numtheory import integer_log
 from grouptotient.verify import abelian_type_specs
@@ -149,6 +150,54 @@ def test_validate_table_names_the_first_latin_square_failure(rows, axiom, witnes
     with pytest.raises(NotAGroupError) as info:
         validate_table(np.array(rows))
     assert (info.value.axiom, info.value.witness) == (axiom, witness)
+
+
+def _first_latin_failure(rows):
+    """Brute-force witness: for a = 0, 1, ... the first repeat in row a,
+    then in column a, as (row, col, col) or (row, row, col)."""
+    n = len(rows)
+    for a in range(n):
+        for line, kind in ((rows[a], "row"), ([r[a] for r in rows], "column")):
+            for j in range(n):
+                if line[j] in line[:j]:
+                    i = line.index(line[j])
+                    return f"latin-square-{kind}", (a, i, j) if kind == "row" else (i, a, j)
+    return None
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, 12])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        "first-row-of-block",
+        "last-row-of-block",
+        "column-only",
+        "row-and-column-at-one-index",
+    ],
+)
+def test_latin_square_witness_at_block_edges(monkeypatch, rows_per_block, edit):
+    """The Latin test marks rows (and columns) in blocks; a duplicate at a
+    block's first or last row, in a column alone, or in both a row and the
+    column of the same index gets the brute-force scan's kind and witness."""
+    n = 12
+    monkeypatch.setattr(groups, "_BATCH_LIMIT", 8 * n * rows_per_block)
+    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+    if edit == "first-row-of-block":
+        rows[3][7] = rows[3][2]
+    elif edit == "last-row-of-block":
+        rows[5][9] = rows[5][10]
+    elif edit == "column-only":  # row 4 stays a permutation; columns 6 and 9 repeat
+        rows[4][6], rows[4][9] = rows[4][9], rows[4][6]
+    else:  # row 8 repeats, and so does column 8, which held rows[8][9] elsewhere
+        rows[8][8] = rows[8][9]
+    expected = _first_latin_failure(rows)
+    assert expected[0] == ("latin-square-column" if edit == "column-only" else "latin-square-row")
+    with pytest.raises(NotAGroupError) as info:
+        validate_table(np.array(rows, dtype=np.uint8))
+    assert (info.value.axiom, info.value.witness) == expected
+    with pytest.raises(NotAGroupError) as info:
+        validate_table(np.array(rows, dtype=np.uint8).T)
+    assert (info.value.axiom, info.value.witness) == _first_latin_failure([list(c) for c in zip(*rows)])
 
 
 def test_cyclic_table_is_addition_mod_n():
