@@ -503,7 +503,7 @@ def _close_under_products(t: np.ndarray, closed: np.ndarray, a: int) -> None:
 def _non_permutations(t: np.ndarray) -> np.ndarray:
     """Which rows of `t`, n x n with entries in 0..n-1, are not permutations:
     each block of rows marks its entries in a bool matrix through int64 flat
-    indices (a copy of at most _BATCH_LIMIT bytes), so nothing is sorted."""
+    indices (a copy of at most _BATCH_LIMIT bytes or one row), unsorted."""
     n = len(t)
     step = max(1, _BATCH_LIMIT // (8 * n))
     bad = np.empty(n, dtype=bool)
