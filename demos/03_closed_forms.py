@@ -9,7 +9,6 @@ formula n + n_p(p - 1).
 from grouptotient import (
     abelian_p_group_totient,
     all_subgroups,
-    complements,
     construct,
     dihedral_gauss_sum,
     dihedral_totient,
@@ -47,8 +46,8 @@ print("\nsemidirect products with a fixed-point-free prime-order complement:")
 for spec in ("dihedral:9", "sdp:7,3,2", "sdp:13,3,3"):
     G = construct(spec)
     L = all_subgroups(G)
-    N, H, p = fixed_point_free_decomposition(G, L)
-    n_p = len(complements(G, N, L))
+    N, H, p, found = fixed_point_free_decomposition(G, L)
+    n_p = len(found)
     s = gauss_sum(G, L)
     print(
         f"  {spec}: |N|={N.order}, p={p}, {n_p} complements; "

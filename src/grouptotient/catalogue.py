@@ -226,7 +226,8 @@ def _cayley_graph_table(right, parent, via, depth) -> np.ndarray:
 def load_catalogue(directory, max_order: int = DEFAULT_MAX_ORDER) -> list[CatalogueEntry]:
     """Ingest every recognized file in a directory, ordered by id.  A file
     whose group exceeds `max_order` becomes an entry without a group, its
-    reason in `skipped`, so a scan records it as skipped and goes on."""
+    reason in `skipped`, so a scan records it as skipped and goes on.  A
+    second file with an id already seen is refused before it is read."""
     directory = Path(directory)
     entries: list[CatalogueEntry] = []
     seen: set[str] = set()
@@ -238,13 +239,13 @@ def load_catalogue(directory, max_order: int = DEFAULT_MAX_ORDER) -> list[Catalo
             source, read = "permutation-generators", read_permutation_generators
         else:
             continue
-        try:
-            group, skipped = read(path, max_order=max_order), ""
-        except OrderOverflowError as exc:
-            group, skipped = None, str(exc)
         stem = path.stem
         if stem in seen:
             raise ParseError(f"duplicate catalogue id {stem!r}", 1)
         seen.add(stem)
+        try:
+            group, skipped = read(path, max_order=max_order), ""
+        except OrderOverflowError as exc:
+            group, skipped = None, str(exc)
         entries.append(CatalogueEntry(id=stem, source=source, group=group, skipped=skipped))
     return entries

@@ -33,25 +33,24 @@ so they remove joins but never change what is found.  The same HaH
 gather says whether a normalizes H: every min(H*a*h) is a exactly when
 aH = Ha.  A normalizing a with a^2 in H is an index-2 step, <H, a> =
 H u H*a with least new element a = min(H*a), accepted with no join.  On
-A6 the sweep runs 486 joins and abandons 318 (662 and 318 with
-non-abelian index-2 steps joined; 3,997 and 3,497 with the H*a test
-alone and level 1 joined as well).
+A6 the sweep runs 486 joins and abandons 318.
 
 The search sweeps one subgroup order at a time, smallest first; as
 children outgrow their parents and chains are unique, the sweep order
 changes nothing found.  By Lagrange a subgroup of prime index has no
 proper overgroup but G, so a level of prime index is recorded but not
 swept, and neither is G; when G's canonical chain passes through such a
-level no sweep finds G, and G is appended after the loop under the same
-cap.  Level 1 is read off the least-generator walk: the children of the
-trivial subgroup are the <a> whose least non-identity element is their
-least generator a, taken as one block per order with no candidate sweep
-and no join.  Every larger level's members
-form one matrix, swept in chunks of up to _BATCH_LIMIT = 2^18 gathered
-entries, and each chunk yields the right-coset minima
-minima[r, x] = min(H_r*x) in the table's dtype: the chunk's members are
-gathered member first, table.take(block.T, axis=0), so the min-reduction
-runs over the leading axis, one contiguous (rows, |G|) plane per member.
+level no sweep finds G, and G is accepted, under the same cap as every
+other subgroup, once nothing is left to sweep.  Level 1 is read off the
+least-generator walk: the children of the trivial subgroup are the <a>
+whose least non-identity element is their least generator a, taken as
+one block per order with no candidate sweep and no join.  Every larger
+level's members form one matrix, swept in chunks of up to
+_BATCH_LIMIT = 2^18 gathered entries, and each chunk yields the
+right-coset minima minima[r, x] = min(H_r*x) in the table's dtype: the
+chunk's members are gathered member first, table.take(block.T, axis=0),
+so the min-reduction runs over the leading axis, one contiguous
+(rows, |G|) plane per member.
 A subgroup too large for one chunk (|H| * |G| > 2^18, first above order
 1024 when |H| = |G| / 4, the largest swept) is reduced over slices of its
 members, each of at most 2^18 gathered entries.  `is_normal` gathers
@@ -166,8 +165,7 @@ class Lattice:
     @property
     def subgroups(self) -> list[Subgroup]:
         if self._subgroups is None:
-            levels = self.levels.values()
-            self._subgroups = [Subgroup(self.group, row) for level in levels for row in level]
+            self._subgroups = [H for k in self.levels for H in self.of_order(k)]
         return self._subgroups
 
     def __len__(self) -> int:
@@ -228,7 +226,9 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
         level[0].append(block)
         level[1].append(lasts)
 
-    while pending:
+    while True:
+        if not pending:  # no sweep found G: its chain passes through a prime-index level, not swept
+            accept(np.arange(n, dtype=table.dtype)[None, :], (0,))
         m = min(pending)
         blocks, lasts = pending.pop(m)
         level = np.concatenate(blocks)
@@ -300,10 +300,6 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
                 joined = _join_with_element(table, minima[i], () if nrm else block[i, 1:].tolist(), b)
                 if joined is not None:  # None: b is not the least new element of the join
                     accept(joined.astype(table.dtype)[None, :], (b,))
-    if n not in levels:  # G's chain passes through a prime-index level, which was not swept
-        if found + 1 > max_subgroups:
-            raise LatticeOverflowError(max_subgroups + 1, max_subgroups)
-        levels[n] = np.arange(n, dtype=table.dtype)[None, :]
 
     totients, cyclic_sum = _totients(levels, G.element_orders())
     return Lattice(G, levels, totients, cyclic_sum)

@@ -158,23 +158,18 @@ def semidirect_gauss_sum(n: int, p: int, complement_count: int) -> int:
 
 def fixed_point_free_decomposition(
     G: Group, L: Lattice
-) -> tuple[Subgroup, Subgroup, int] | None:
-    """Search for (N, H, p): a nontrivial cyclic normal Hall subgroup N
-    with a complement H of prime order p acting without nontrivial fixed
-    points on N.  Returns the first witness in canonical order, or None.
+) -> tuple[Subgroup, Subgroup, int, list[Subgroup]] | None:
+    """Search for (N, H, p, complements): a nontrivial cyclic normal Hall
+    subgroup N with a complement H of prime order p acting without
+    nontrivial fixed points on N, and the list of N's complements H was
+    found in, whose length is the n_p of `semidirect_gauss_sum`.  Returns
+    the first witness in canonical order, or None.
     Only the levels of prime index p, p^2 not dividing n, are read, largest
     p (smallest N, first in canonical order) first.  Every subgroup of such
     a level is a Hall subgroup, and a Hall subgroup is normal exactly when
     it is the only subgroup of its order (M. Hall, The Theory of Groups,
     ch. 9), so a level is read only when it has one row.
     """
-    found = _decomposition_and_complements(G, L)
-    return None if found is None else found[:3]
-
-
-def _decomposition_and_complements(G: Group, L: Lattice):
-    """fixed_point_free_decomposition's witness (N, H, p) and the list of
-    N's complements H was found in, or None."""
     n = G.order
     table = G.table
     inv = G.inverses()
@@ -193,4 +188,3 @@ def _decomposition_and_complements(G: Group, L: Lattice):
             if int(np.count_nonzero(conj == members)) == 1:
                 return (N, H, p, found)
     return None
-

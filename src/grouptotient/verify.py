@@ -69,11 +69,10 @@ from .lattice import (
 from .numtheory import divisors, euler_phi, factorize, is_prime, prime_power
 from .reports import GaussSummary, ScanResult, ScanRow, SuiteResult
 from .totient import (
-    _decomposition_and_complements,
     cyclic_totient_sum,  # not called here; perfbench/spans.py wraps it in this namespace by name
     dihedral_gauss_sum,
     dihedral_totient,
-    fixed_point_free_decomposition,  # not called here; perfbench/spans.py wraps it in this namespace by name
+    fixed_point_free_decomposition,
     gauss_sum,
     group_totient,  # not called here; perfbench/spans.py wraps it in this namespace by name
     semidirect_gauss_sum,
@@ -462,10 +461,12 @@ def _suite_thm8(result, params, max_order, max_subgroups) -> None:
     n_max = params["dihedral_max"]
     _require_order(2 * n_max, max_order)
     specs = [GroupSpec("dihedral", (n,)) for n in range(3, n_max + 1, 2)]
-    specs += [pq_group_spec(p, q) for p, q in params["pairs"]]
+    for p, q in params["pairs"]:
+        _require_order(p * q, max_order)
+        specs.append(pq_group_spec(p, q))
     for spec in specs:
         G, L = _cached_lattice(spec, max_order, max_subgroups)
-        witness = _decomposition_and_complements(G, L)
+        witness = fixed_point_free_decomposition(G, L)
         result.add(f"{spec}/witness", True, witness is not None)
         if witness is None:
             continue
@@ -478,6 +479,7 @@ def _suite_thm8(result, params, max_order, max_subgroups) -> None:
 
 def _suite_example_pq(result, params, max_order, max_subgroups) -> None:
     for p, q in params["pairs"]:
+        _require_order(p * q, max_order)
         spec = pq_group_spec(p, q)
         G, L = _cached_lattice(spec, max_order, max_subgroups)
         s = gauss_sum(G, L)
@@ -632,18 +634,18 @@ def _scan_id(item) -> str:
     return str(spec)
 
 
-def _scan_item(item, max_order, max_subgroups):
-    ident = _scan_id(item)
+def _scan_item(item, ident, max_order, max_subgroups):
+    """The ScanRow of one corpus item with id `ident`, or its skip record."""
     if isinstance(item, CatalogueEntry) and item.group is None:
-        return ("skip", ident, item.skipped)
+        return {"id": ident, "reason": item.skipped}
     group = item.group if isinstance(item, CatalogueEntry) else item if isinstance(item, Group) else None
     try:
         if group is None:
             group = construct(ident, max_order=max_order)
         summary = summarize(group, max_subgroups=max_subgroups)
     except (LatticeOverflowError, OrderOverflowError) as exc:
-        return ("skip", ident, str(exc))
-    return ("row", ScanRow.of(ident, summary))
+        return {"id": ident, "reason": str(exc)}
+    return ScanRow.of(ident, summary)
 
 
 def run_scan(
@@ -674,16 +676,15 @@ def run_scan(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
-                pool.map(_scan_item, items, repeat(max_order), repeat(max_subgroups))
+                pool.map(_scan_item, items, ids, repeat(max_order), repeat(max_subgroups))
             )
     else:
-        outcomes = [_scan_item(item, max_order, max_subgroups) for item in items]
+        outcomes = [_scan_item(item, ident, max_order, max_subgroups) for item, ident in zip(items, ids)]
     result = ScanResult()
-    for outcome in outcomes:
-        if outcome[0] == "skip":
-            result.skipped.append({"id": outcome[1], "reason": outcome[2]})
+    for row in outcomes:
+        if isinstance(row, dict):
+            result.skipped.append(row)
             continue
-        row = outcome[1]
         result.rows.append(row)
         result.scanned += 1
         if row.in_class_c:

@@ -605,7 +605,11 @@ def test_write_report_deterministic(tmp_path):
 def test_load_catalogue_rejects_duplicate_ids(tmp_path):
     write_cayley_table(construct("cyclic:3"), tmp_path / "same.cayley")
     (tmp_path / "same.gens").write_text("4\n1 2 3 0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="duplicate catalogue id"):
+        load_catalogue(tmp_path)
+    # the id is refused before the second file is read, so its own error never shows
+    (tmp_path / "same.gens").write_text("3\n1 2\n")
+    with pytest.raises(ParseError, match="duplicate catalogue id"):
         load_catalogue(tmp_path)
 
 

@@ -24,10 +24,30 @@ print("hooks ok")
 """
 
 
-def test_every_patched_function_resolves_to_a_layer():
+# thm8 searches each of its 27 groups (22 odd dihedral groups and 5 pq pairs) once
+THM8_SCRIPT = """
+import spans
+from grouptotient import run_suite
+
+tracer = spans.Tracer()
+tracer.install()
+run_suite("thm8")
+print(sum(span["name"] == "totient.fixed_point_free_decomposition" for span in tracer.spans))
+"""
+
+
+def _traced(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     run = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "hooks ok"
+    return run.stdout.strip()
+
+
+def test_every_patched_function_resolves_to_a_layer():
+    assert _traced(SCRIPT) == "hooks ok"
+
+
+def test_tracing_sees_every_decomposition_search():
+    assert _traced(THM8_SCRIPT) == "27"

@@ -179,7 +179,7 @@ def test_fixed_point_free_decomposition_examples():
     D18 = construct("dihedral:9")
     w = fixed_point_free_decomposition(D18, all_subgroups(D18))
     assert w is not None
-    N, H, p = w
+    N, H, p, _ = w
     assert (N.order, H.order, p) == (9, 2, 2)
 
     Z12 = construct("cyclic:12")
@@ -188,7 +188,7 @@ def test_fixed_point_free_decomposition_examples():
     G21 = construct("sdp:7,3,2")
     w = fixed_point_free_decomposition(G21, all_subgroups(G21))
     assert w is not None
-    N, H, p = w
+    N, H, p, _ = w
     assert (N.order, H.order, p) == (7, 3, 3)
 
 
@@ -202,8 +202,9 @@ def test_theorem8_formula_and_criterion():
     for spec in ("dihedral:9", "dihedral:15", "sdp:7,3,2", "sdp:13,3,3"):
         G = construct(spec)
         L = all_subgroups(G)
-        N, H, p = fixed_point_free_decomposition(G, L)
-        count = len(complements(G, N, L))
+        N, H, p, found = fixed_point_free_decomposition(G, L)
+        assert found == complements(G, N, L) and H in found
+        count = len(found)
         s = gauss_sum(G, L)
         assert s == semidirect_gauss_sum(N.order, p, count)
         assert (s == N.order * p) == (count == N.order)

@@ -197,6 +197,20 @@ def test_range_too_large():
         summarize_spec("cyclic:30", max_order=20)
 
 
+@pytest.mark.parametrize("suite", ["example_pq", "thm8"])
+def test_pq_pairs_over_the_cap_are_refused_before_the_search(suite, monkeypatch):
+    """pq_group_spec's search for an element of order p modulo q runs for
+    O(q) steps, so a pair whose order p*q is over the cap is refused first."""
+    import grouptotient.verify as verify
+
+    def searched(p, q):
+        raise AssertionError(f"searched modulo {q}")
+
+    monkeypatch.setattr(verify, "order_p_element_mod", searched)
+    with pytest.raises(RangeTooLargeError):
+        run_suite(suite, {"pairs": [(2, 2000003)]})
+
+
 def test_pq_group_spec():
     spec = pq_group_spec(3, 7)
     assert spec.order() == 21
@@ -595,7 +609,7 @@ def test_decomposition_reads_only_prime_index_levels():
         witness = fixed_point_free_decomposition(G, L)
         assert L._subgroups is None, spec
         if witness is not None:
-            N, H, p = witness
+            N, H, p, _ = witness
             witness = (N.members.tolist(), H.members.tolist(), p)
         assert witness == _linear_decomposition(G, L), spec
 
