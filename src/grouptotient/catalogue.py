@@ -50,7 +50,6 @@ GENERATORS_SUFFIX = ".gens"
 @dataclass(frozen=True)
 class CatalogueEntry:
     id: str
-    source: str  # "cayley-table" or "permutation-generators"
     group: Group | None  # None when the file's group is over the order cap
     skipped: str = ""  # why group is None
 
@@ -234,9 +233,9 @@ def load_catalogue(directory, max_order: int = DEFAULT_MAX_ORDER) -> list[Catalo
     for name in sorted(os.listdir(directory)):
         path = directory / name
         if name.endswith(CAYLEY_SUFFIX):
-            source, read = "cayley-table", read_cayley_table
+            read = read_cayley_table
         elif name.endswith(GENERATORS_SUFFIX):
-            source, read = "permutation-generators", read_permutation_generators
+            read = read_permutation_generators
         else:
             continue
         stem = path.stem
@@ -247,5 +246,5 @@ def load_catalogue(directory, max_order: int = DEFAULT_MAX_ORDER) -> list[Catalo
             group, skipped = read(path, max_order=max_order), ""
         except OrderOverflowError as exc:
             group, skipped = None, str(exc)
-        entries.append(CatalogueEntry(id=stem, source=source, group=group, skipped=skipped))
+        entries.append(CatalogueEntry(id=stem, group=group, skipped=skipped))
     return entries

@@ -256,15 +256,10 @@ class AbelianType:
                 raise InvalidParameterError(f"abelian type part {part} is not a prime power > 1")
         object.__setattr__(self, "parts", tuple(sorted(self.parts)))
 
-    def primes(self) -> list[int]:
-        return sorted({prime_power(part)[0] for part in self.parts})
-
-    def rank(self, p: int) -> int:
-        """Number of parts belonging to prime p."""
-        return sum(1 for part in self.parts if part % p == 0)
-
     def max_rank(self) -> int:
-        return max((self.rank(p) for p in self.primes()), default=0)
+        """The largest number of parts that are powers of one prime."""
+        primes = [prime_power(part)[0] for part in self.parts]
+        return max(map(primes.count, primes), default=0)
 
 
 # ---------------------------------------------------------------------------

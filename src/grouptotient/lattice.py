@@ -171,9 +171,6 @@ class Lattice:
     def __len__(self) -> int:
         return len(self.totients)
 
-    def __iter__(self):
-        return iter(self.subgroups)
-
     def of_order(self, k: int) -> list[Subgroup]:
         """The subgroups of order k in canonical order, built from their level alone."""
         return [Subgroup(self.group, row) for row in self.levels.get(k, ())]

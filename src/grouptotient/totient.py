@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError, MixedPrimesError
-from .groups import AbelianType, Group
+from .groups import Group
 from .lattice import (
     Lattice,
     Subgroup,
@@ -66,8 +66,6 @@ def abelian_p_group_totient(parts) -> int:
     """Totient of an abelian p-group of type (p^a1 <= ... <= p^ar):
     |G| * (1 - p^-(r-s+1)) where s is the first position attaining the
     maximal exponent."""
-    if isinstance(parts, AbelianType):
-        parts = parts.parts
     parts = tuple(sorted(parts))
     if not parts:
         raise InvalidParameterError("abelian type needs at least one part")

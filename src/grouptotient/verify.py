@@ -20,10 +20,13 @@ stored read-only.  A hit builds the group again
 from its spec (cheap and deterministic) and wraps the cached arrays.  The
 cache holds at most _LATTICE_CACHE_BYTES = 4 MiB of arrays, kept as a
 running total, evicting the least recently used; a larger lattice is
-never stored.  The nine theorem
-suites of the benchmark leave 0.1 MiB of arrays in it (149 lattices).
-Scans summarize without it: each of their groups is seen once, so
-caching would only hold memory.
+never stored.  The nine theorem suites of the benchmark leave 0.1 MiB
+of arrays in it (149 lattices).  Scans summarize without it: each of
+their groups is seen once, so caching would only hold memory.
+
+A scan item is a GroupSpec, a spec string or a CatalogueEntry, whose
+report id is the spec's string or the file's stem.  A bare Group is
+refused: it has no id of its own, and two tables of one order would clash.
 
 Structure queries read the finished lattice in batches.  The
 inclusion-exclusion identity reads each S(M) off the down-set that the
@@ -133,10 +136,10 @@ class _LatticeCache(OrderedDict):
 
     held = 0
 
-    def store(self, key, entry, budget: int) -> None:
-        """Add an entry of at most `budget` bytes, first evicting the least
-        recently used ones until it fits."""
-        while self.held + entry[3] > budget:
+    def store(self, key, entry) -> None:
+        """Add an entry of at most _LATTICE_CACHE_BYTES bytes, first evicting
+        the least recently used ones until it fits."""
+        while self.held + entry[3] > _LATTICE_CACHE_BYTES:
             self.held -= self.popitem(last=False)[1][3]
         self[key] = entry
         self.held += entry[3]
@@ -165,7 +168,7 @@ def _cached_lattice(spec, max_order, max_subgroups) -> tuple[Group, Lattice]:
     if size <= _LATTICE_CACHE_BYTES:
         for a in arrays:
             a.setflags(write=False)
-        _lattices.store(key, (dict(L.levels), L.totients, L.cyclic_sum, size), _LATTICE_CACHE_BYTES)
+        _lattices.store(key, (dict(L.levels), L.totients, L.cyclic_sum, size))
     return G, L
 
 
@@ -229,21 +232,11 @@ def inclusion_exclusion_residual(G: Group, L: Lattice) -> tuple[int, int]:
 # corpus enumeration
 
 
-def _partitions(k: int) -> list[tuple[int, ...]]:
-    """Integer partitions of k, ascending parts, deterministic order."""
+def _partitions(k: int, least: int = 1) -> list[tuple[int, ...]]:
+    """Integer partitions of k into parts >= least, ascending parts, deterministic order."""
     if k == 0:
         return [()]
-    out = []
-
-    def extend(prefix, remaining, minimum):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(minimum, remaining + 1):
-            extend(prefix + [part], remaining - part, part)
-
-    extend([], k, 1)
-    return out
+    return [(part, *rest) for part in range(least, k + 1) for rest in _partitions(k - part, part)]
 
 
 def abelian_type_specs(max_order: int) -> list[GroupSpec]:
@@ -628,20 +621,17 @@ def run_suite(
 def _scan_id(item) -> str:
     if isinstance(item, CatalogueEntry):
         return item.id
-    if isinstance(item, Group):
-        return str(item.spec) if item.spec is not None else f"table-group-order-{item.order}"
-    spec = item if isinstance(item, GroupSpec) else parse_spec(str(item))
-    return str(spec)
+    if not isinstance(item, (GroupSpec, str)):
+        raise InvalidParameterError(f"scan item {item!r} is not a group spec or catalogue entry")
+    return str(parse_spec(item) if isinstance(item, str) else item)
 
 
 def _scan_item(item, ident, max_order, max_subgroups):
     """The ScanRow of one corpus item with id `ident`, or its skip record."""
     if isinstance(item, CatalogueEntry) and item.group is None:
         return {"id": ident, "reason": item.skipped}
-    group = item.group if isinstance(item, CatalogueEntry) else item if isinstance(item, Group) else None
     try:
-        if group is None:
-            group = construct(ident, max_order=max_order)
+        group = item.group if isinstance(item, CatalogueEntry) else construct(item, max_order=max_order)
         summary = summarize(group, max_subgroups=max_subgroups)
     except (LatticeOverflowError, OrderOverflowError) as exc:
         return {"id": ident, "reason": str(exc)}

@@ -506,7 +506,6 @@ def test_load_catalogue(tmp_path):
     (tmp_path / "ignored.txt").write_text("not a group file\n")
     entries = load_catalogue(tmp_path)
     assert [e.id for e in entries] == ["a", "b"]
-    assert [e.source for e in entries] == ["cayley-table", "permutation-generators"]
     assert [e.group.order for e in entries] == [3, 4]
 
 

@@ -332,7 +332,7 @@ def test_abelian_invariants_examples():
         assert summary_fields(summarize(construct(spec))) == abelian_expected(parts), spec
     P = construct("product:(cyclic:4)x(cyclic:2)")
     assert summary_fields(summarize(P)) == abelian_expected((2, 4))
-    assert AbelianType((2, 2)).rank(2) == 2
+    assert AbelianType((2, 2)).max_rank() == 2
 
 
 @pytest.mark.parametrize(
@@ -344,11 +344,12 @@ def test_abelian_invariants_round_trip(parts):
     assert summary_fields(summarize(G)) == abelian_expected(tuple(parts))
 
 
-def test_every_abelian_type_to_order_128_matches_birkhoff():
-    """All seven summary fields of every abelian type of order 2..128 equal
-    Birkhoff's closed forms, which share no code with the enumerator."""
-    specs = abelian_type_specs(128)
-    assert len(specs) == 246
+def test_every_abelian_type_to_order_256_matches_birkhoff():
+    """All seven summary fields of every abelian type of order 2..256 equal
+    Birkhoff's closed forms, which share no code with the enumerator.  The
+    rank-8 elementary abelian group (417199 subgroups) is the largest."""
+    specs = abelian_type_specs(256)
+    assert len(specs) == 515
     for spec in specs:
         assert summary_fields(summarize(construct(spec))) == abelian_expected(spec.params), spec
 
@@ -509,6 +510,6 @@ def test_abelian_type_validation():
         AbelianType((6,))
     t = AbelianType((9, 2, 3))
     assert t.parts == (2, 3, 9)
-    assert t.rank(3) == 2
     assert t.max_rank() == 2
     assert AbelianType((2, 3)).max_rank() == 1
+    assert AbelianType((2, 4, 3, 9, 27)).max_rank() == 3

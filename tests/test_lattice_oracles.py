@@ -107,15 +107,19 @@ def test_dihedral_lattice_sizes_follow_cavior():
         assert len(maximal_subgroups(L)) == 1 + sum(_prime_divisors(n)), n
 
 
-@pytest.mark.parametrize("n", [1000, 2000])
+@pytest.mark.parametrize("n", [720, 999, 1000, 1024, 2000, 2310, 4000])
 def test_dihedral_closed_forms_at_the_scale_edge(n):
-    # orders 2000 and 4000: Cavior's count and the paper's closed forms for
-    # the totient and the Gauss sum, against the enumerated lattice
+    # orders 1440 to 8000: Cavior's count and the paper's closed forms for
+    # the totient and the Gauss sum, against the enumerated lattice; the
+    # group is in the class exactly for odd n (Theorem 7) and nilpotent
+    # exactly when n is a power of 2, here n = 1024 alone
     divs = _divisors(n)
     summary = summarize(construct(f"dihedral:{n}"))
     assert summary.subgroup_count == len(divs) + sum(divs)
     assert summary.phi == dihedral_totient(n)
     assert summary.s_value == dihedral_gauss_sum(n)
+    assert summary.in_class_c == (n % 2 == 1)
+    assert summary.nilpotent == (n == 1024)
 
 
 @pytest.mark.parametrize("family,spec", [("D", "dihedral:2048"), ("Q", "quaternion:4096"), ("SD", "semidihedral:4096")])

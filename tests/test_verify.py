@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from grouptotient import (
+    Group,
     InvalidParameterError,
     RangeTooLargeError,
     UnknownSuiteError,
@@ -250,11 +251,30 @@ def test_scan_accepts_groups_and_entries(tmp_path):
 
     write_cayley_table(construct("cyclic:5"), tmp_path / "c5.cayley")
     entries = load_catalogue(tmp_path)
-    result = run_scan(entries + [construct("dihedral:3")])
+    result = run_scan(entries + [parse_spec("dihedral:3")])
     assert result.scanned == 2
     assert result.rows[0].id == "c5"
     assert result.rows[1].id == "dihedral:3"
     assert result.rows[1].in_class_c
+
+
+def test_scan_refuses_a_bare_group():
+    """A scan item is a spec or a catalogue entry; a Group carries no id of its own."""
+    for group in (construct("cyclic:6"), Group(construct("dihedral:3").table)):
+        with pytest.raises(InvalidParameterError, match="not a group spec or catalogue entry"):
+            run_scan(["cyclic:5", group])
+
+
+def test_scan_keeps_tables_of_one_order_apart(tmp_path):
+    """Two tables of order 6 scan under their file stems, as different groups."""
+    from grouptotient import load_catalogue
+
+    write_cayley_table(construct("cyclic:6"), tmp_path / "c6.cayley")
+    write_cayley_table(construct("dihedral:3"), tmp_path / "s3.cayley")
+    result = run_scan(load_catalogue(tmp_path))
+    assert [row.id for row in result.rows] == ["c6", "s3"]
+    assert [(row.order, row.cyclic, row.subgroup_count) for row in result.rows] == [(6, True, 4), (6, False, 6)]
+    assert result.gauss_class_members == ["c6", "s3"]
 
 
 def test_scan_parallel_matches_sequential():
