@@ -21,11 +21,11 @@ print()
 for n in (6, 12, 100):
     G = construct(f"cyclic:{n}")
     L = all_subgroups(G)
-    s = gauss_sum(G, L)
+    s = gauss_sum(L)
     print(f"Z_{n}: {len(L)} subgroups (one per divisor), Gauss sum = {s}")
     assert s == n and len(L) == len(divisors(n))
 
 # the smallest group where the sum overshoots: the Klein four-group
 K = construct("abelian:2,2")
 LK = all_subgroups(K)
-print(f"\nZ_2 x Z_2: {len(LK)} subgroups, Gauss sum = {gauss_sum(K, LK)} != 4")
+print(f"\nZ_2 x Z_2: {len(LK)} subgroups, Gauss sum = {gauss_sum(LK)} != 4")

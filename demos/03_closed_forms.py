@@ -27,7 +27,7 @@ for parts in [(2, 2), (2, 4), (4, 4), (3, 3, 9)]:
 print("\ndihedral groups (parameter n, order 2n):")
 for n in (5, 6, 8, 12):
     G = construct(f"dihedral:{n}")
-    s = gauss_sum(G, all_subgroups(G))
+    s = gauss_sum(all_subgroups(G))
     print(
         f"  n={n:2d}: phi formula {dihedral_totient(n)} vs {group_totient(G)}; "
         f"S formula {dihedral_gauss_sum(n)} vs {s}"
@@ -39,16 +39,16 @@ for family, spec_of in [("D", lambda n: f"dihedral:{2 ** (n - 1)}"),
                         ("SD", lambda n: f"semidihedral:{2 ** n}")]:
     for n in (4, 5, 6):
         G = construct(spec_of(n))
-        s = gauss_sum(G, all_subgroups(G))
+        s = gauss_sum(all_subgroups(G))
         print(f"  {family}(2^{n}): formula {two_group_gauss_sum(family, n):4d}, brute force {s:4d}")
 
 print("\nsemidirect products with a fixed-point-free prime-order complement:")
 for spec in ("dihedral:9", "sdp:7,3,2", "sdp:13,3,3"):
     G = construct(spec)
     L = all_subgroups(G)
-    N, H, p, found = fixed_point_free_decomposition(G, L)
+    N, H, p, found = fixed_point_free_decomposition(L)
     n_p = len(found)
-    s = gauss_sum(G, L)
+    s = gauss_sum(L)
     print(
         f"  {spec}: |N|={N.order}, p={p}, {n_p} complements; "
         f"formula {semidirect_gauss_sum(N.order, p, n_p)}, brute force {s}, "

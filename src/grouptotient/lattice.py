@@ -77,14 +77,15 @@ cyclic subgroups (those whose exponent is their order), so
 subgroup.  The rank-8 elementary abelian group (417199 subgroups) takes
 0.5-0.65 s, totients included, on a 2-vCPU Xeon host.
 
-The lattice keeps these level matrices and the totient vector; Subgroup
-objects are built on first read, so summaries never build one.  The
-down-set of one subgroup is a `Lattice.contained_in` row test over the
-levels.  The walk for the maximal subgroups keeps the down-set it takes
-of each maximum, so the Frattini subgroup is the last row the AND of
-those down-sets keeps, with no second walk.  `is_normal` conjugates one
-generator of each cyclic subgroup of H, and `complements` is one mask
-test over the level of order |G|/|N|.
+The lattice keeps these level matrices and the totient vector, and every
+query takes the lattice alone and reads its level rows; a Subgroup is
+built only for a subgroup a query returns.  The down-set of one subgroup
+is a `Lattice.contained_in` row test over the levels.  The walk for the
+maximal subgroups reads the rows from the largest proper order down and
+holds one down-set at a time, and the Frattini subgroup is the
+intersection of the maxima's rows.  `is_normal` conjugates one generator
+of each cyclic subgroup of H in its parent, and `complements` is one
+mask test over the level of order |G|/|N|.
 `Lattice.totients` is the package's only per-subgroup totient; its last
 entry, the row of G itself, is the group totient that summaries report.
 """
@@ -149,9 +150,9 @@ class Lattice:
     """All subgroups of a group in canonical order (by order, then by member
     list): ``levels`` maps each order to its sorted member matrix, ``totients``
     holds each subgroup's totient (int64) and ``cyclic_sum`` the totients of
-    the cyclic ones; ``subgroups`` is built on first read."""
+    the cyclic ones."""
 
-    __slots__ = ("group", "levels", "totients", "cyclic_sum", "_subgroups")
+    __slots__ = ("group", "levels", "totients", "cyclic_sum")
 
     def __init__(
         self, group: Group, levels: dict[int, np.ndarray], totients: np.ndarray, cyclic_sum: int
@@ -160,13 +161,6 @@ class Lattice:
         self.levels = levels
         self.totients = totients
         self.cyclic_sum = cyclic_sum
-        self._subgroups = None
-
-    @property
-    def subgroups(self) -> list[Subgroup]:
-        if self._subgroups is None:
-            self._subgroups = [H for k in self.levels for H in self.of_order(k)]
-        return self._subgroups
 
     def __len__(self) -> int:
         return len(self.totients)
@@ -370,44 +364,43 @@ def _join_with_element(table, minima, gens, a):
     return np.flatnonzero(inside[minima])
 
 
-def _maxima(L: Lattice) -> list[tuple[int, np.ndarray]]:
-    """(index, down-set) of each maximal subgroup, in canonical order: the
-    proper subgroups in no larger proper subgroup, read from the largest
-    order down, since a non-maximal H lies in some maximal subgroup of
-    larger order, which is kept before H is seen.  The down-set, the bool
-    vector of the subgroups inside the maximum, is the one the walk marks
-    as covered."""
+def _maxima(L: Lattice):
+    """(row, down-set) of each maximal subgroup, in reverse canonical order:
+    the proper subgroups in no larger proper subgroup, read from the largest
+    proper order down, since a non-maximal H lies in some maximal subgroup
+    of larger order, which is met before H.  The down-set, the bool vector
+    of the subgroups inside the maximum, is the one the walk marks as
+    covered; only one is held at a time."""
     covered = np.zeros(len(L), dtype=bool)
-    maxima = []
-    for i in range(len(L) - 2, -1, -1):
-        if not covered[i]:
-            down = L.contained_in(L.subgroups[i].members)
-            covered |= down
-            maxima.append((i, down))
-    return maxima[::-1]
+    i = len(L) - 1  # G's index
+    for level in list(L.levels.values())[-2::-1]:
+        for row in level[::-1]:
+            i -= 1
+            if not covered[i]:
+                down = L.contained_in(row)
+                covered |= down
+                yield row, down
 
 
 def maximal_subgroups(L: Lattice) -> list[Subgroup]:
     """Proper subgroups in no larger proper subgroup, in canonical order."""
-    return [L.subgroups[i] for i, _ in _maxima(L)]
+    return [Subgroup(L.group, row) for row, _ in _maxima(L)][::-1]
 
 
 def frattini(L: Lattice) -> Subgroup:
-    """Intersection of all maximal subgroups: the largest subgroup inside
-    every maximum, the last one the AND of their down-sets keeps."""
-    inside = np.ones(len(L), dtype=bool)
-    for _, down in _maxima(L):
-        inside &= down
-    return L.subgroups[int(np.flatnonzero(inside)[-1])]
+    """Intersection of all maximal subgroups (G when there is none)."""
+    rows = (row for row, _ in _maxima(L))
+    return Subgroup(L.group, reduce(np.intersect1d, rows, L.levels[L.group.order][0]))
 
 
-def is_normal(G: Group, H: Subgroup) -> bool:
-    """True iff g H g^-1 = H for every g.  Conjugation is a bijection, so
-    g H g^-1 inside H is enough, and as H is the union of its cyclic
-    subgroups and g<x>g^-1 = <g x g^-1>, only one generator x of each needs
-    conjugating: H's least generators in ascending order, each skipped when
-    a power of one already taken.  Their conjugates are gathered over slices
-    of at most _BATCH_LIMIT entries, as the sweep does."""
+def is_normal(H: Subgroup) -> bool:
+    """True iff g H g^-1 = H for every g in H's parent.  Conjugation is a
+    bijection, so g H g^-1 inside H is enough, and as H is the union of its
+    cyclic subgroups and g<x>g^-1 = <g x g^-1>, only one generator x of each
+    needs conjugating: H's least generators in ascending order, each skipped
+    when a power of one already taken.  Their conjugates are gathered over
+    slices of at most _BATCH_LIMIT entries, as the sweep does."""
+    G = H.parent
     if G.is_abelian():
         return True
     walks = G.least_generators()
@@ -427,10 +420,11 @@ def is_normal(G: Group, H: Subgroup) -> bool:
     return all(inside[table[gx, inv]].all() for gx in slices)
 
 
-def complements(G: Group, N: Subgroup, L: Lattice) -> list[Subgroup]:
+def complements(L: Lattice, N: Subgroup) -> list[Subgroup]:
     """All K in L with |K| * |N| = |G| and trivial intersection with N: the
     rows of level |G| / |N| holding one member of N, the identity."""
-    if not is_normal(G, N):
+    G = L.group
+    if not is_normal(N):
         raise NotNormalError("complement counting requires a normal subgroup")
     if G.order % N.order != 0:
         raise NotNormalError("subgroup order must divide the group order")
@@ -442,20 +436,20 @@ def complements(G: Group, N: Subgroup, L: Lattice) -> list[Subgroup]:
     return [Subgroup(G, level[i]) for i in np.flatnonzero(inside[level].sum(axis=1) == 1)]
 
 
-def is_nilpotent(G: Group, L: Lattice) -> bool:
+def is_nilpotent(L: Lattice) -> bool:
     """True iff every Sylow subgroup is unique (one subgroup per full prime part)."""
-    return all(len(L.levels.get(p**k, ())) == 1 for p, k in factorize(G.order).items())
+    return all(len(L.levels.get(p**k, ())) == 1 for p, k in factorize(L.group.order).items())
 
 
-def sylow_subgroups(G: Group, L: Lattice) -> dict[int, list[Subgroup]]:
+def sylow_subgroups(L: Lattice) -> dict[int, list[Subgroup]]:
     """Sylow p-subgroups found in the lattice, keyed by prime."""
     out: dict[int, list[Subgroup]] = {}
-    for p, k in factorize(G.order).items():
+    for p, k in factorize(L.group.order).items():
         out[p] = L.of_order(p**k)
     return out
 
 
-def large_abelian_subgroup_witness(G: Group, L: Lattice) -> tuple[int, int] | None:
+def large_abelian_subgroup_witness(L: Lattice) -> tuple[int, int] | None:
     """First abelian subgroup of order p^m and rank r with m + r >= n + 2,
     where |G| = p^n, in canonical order; None when no such subgroup exists.
     The rank is at most m, so only levels with 2m >= n + 2 are read.  An
@@ -463,6 +457,7 @@ def large_abelian_subgroup_witness(G: Group, L: Lattice) -> tuple[int, int] | No
     with fewer than p^(n+2-m) are dropped first; in a non-abelian G the
     rest are tested a chunk at a time, a row being abelian when its member
     table, gathered for the whole chunk, equals its transpose."""
+    G = L.group
     pk = prime_power(G.order)
     if pk is None:
         raise NotPrimePowerError(f"group order {G.order} is not a prime power")

@@ -39,8 +39,8 @@ def group_totient(G: Group) -> int:
     return int(np.count_nonzero(orders == G.exponent()))
 
 
-def gauss_sum(G: Group, L: Lattice) -> int:
-    """Sum of subgroup totients over the complete lattice of G."""
+def gauss_sum(L: Lattice) -> int:
+    """Sum of subgroup totients over a complete lattice."""
     return int(L.totients.sum())
 
 
@@ -154,9 +154,7 @@ def semidirect_gauss_sum(n: int, p: int, complement_count: int) -> int:
 # structure searches
 
 
-def fixed_point_free_decomposition(
-    G: Group, L: Lattice
-) -> tuple[Subgroup, Subgroup, int, list[Subgroup]] | None:
+def fixed_point_free_decomposition(L: Lattice) -> tuple[Subgroup, Subgroup, int, list[Subgroup]] | None:
     """Search for (N, H, p, complements): a nontrivial cyclic normal Hall
     subgroup N with a complement H of prime order p acting without
     nontrivial fixed points on N, and the list of N's complements H was
@@ -168,6 +166,7 @@ def fixed_point_free_decomposition(
     it is the only subgroup of its order (M. Hall, The Theory of Groups,
     ch. 9), so a level is read only when it has one row.
     """
+    G = L.group
     n = G.order
     table = G.table
     inv = G.inverses()
@@ -179,7 +178,7 @@ def fixed_point_free_decomposition(
         if not subgroup_is_cyclic(N):
             continue
         members = np.asarray(N.members, dtype=np.int64)
-        found = complements(G, N, L)
+        found = complements(L, N)
         for H in found:
             h = int(H.members[1])
             conj = table[table[h, members], inv[h]]

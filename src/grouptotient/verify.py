@@ -7,10 +7,11 @@ complete lattice enumeration.  Suite output is deterministic for a given
 
 Each suite is declared once, as a row of `_SUITES`: its id, its runner and
 its parameters with their defaults.  `run_suite` rejects a parameter the
-row does not declare and one given as a scalar where the default is a
-tuple, then hands the runner a fresh `SuiteResult` and the defaults
-overlaid with the given parameters.  The scan families are likewise the
-keys of one table, `_SCAN_CORPORA`, that maps each to its corpus builder.
+row does not declare or not of its default's kind (a list or tuple for a
+tuple, an int for an int), then hands the runner a fresh `SuiteResult`
+and the defaults overlaid with the given parameters.  The scan families
+are likewise the keys of one table, `_SCAN_CORPORA`, that maps each to
+its corpus builder.
 
 Suites share one per-process lattice cache: `summarize_spec` and the
 suites reach a spec's lattice through `_cached_lattice`, which checks the
@@ -28,13 +29,13 @@ A scan item is a GroupSpec, a spec string or a CatalogueEntry, whose
 report id is the spec's string or the file's stem.  A bare Group is
 refused: it has no id of its own, and two tables of one order would clash.
 
-Structure queries read the finished lattice in batches.  The
-inclusion-exclusion identity reads each S(M) off the down-set that the
-walk for the maximal subgroups keeps of M, and S(Frattini) off the AND
-of those down-sets, since K lies in the Frattini subgroup exactly when
-it lies in every maximal subgroup.  The class closure marks a chunk of
-one level's rows at a time and tests every level whose order divides
-theirs against the marks, so it makes no query per subgroup.
+Every query here takes the lattice alone and reads it in batches.  The
+inclusion-exclusion identity adds each S(M) off the down-set that the
+walk for the maximal subgroups yields for M, and S(Frattini) off the
+running AND of those down-sets, since K lies in the Frattini subgroup
+exactly when it lies in every maximal subgroup.  The class closure marks
+a chunk of one level's rows at a time and tests every level whose order
+divides theirs against the marks, so it makes no query per subgroup.
 """
 
 from __future__ import annotations
@@ -101,19 +102,19 @@ PQ_PAIRS_DEFAULT = ((2, 3), (3, 7), (2, 5), (5, 11), (3, 13))
 
 def summarize(G: Group, max_subgroups: int = SUITE_MAX_SUBGROUPS) -> GaussSummary:
     """Full per-group record: totient, Gauss sum, lattice size, class membership."""
-    return _summary(G, all_subgroups(G, max_subgroups=max_subgroups))
+    return _summary(all_subgroups(G, max_subgroups=max_subgroups))
 
 
-def _summary(G: Group, L: Lattice) -> GaussSummary:
-    s = gauss_sum(G, L)
+def _summary(L: Lattice) -> GaussSummary:
+    s = gauss_sum(L)
     return GaussSummary(
-        group_order=G.order,
+        group_order=L.group.order,
         phi=int(L.totients[-1]),  # the last row of the lattice is G
         s_value=s,
         cyclic_sum=L.cyclic_sum,
         subgroup_count=len(L),
-        in_class_c=s == G.order,
-        nilpotent=is_nilpotent(G, L),
+        in_class_c=s == L.group.order,
+        nilpotent=is_nilpotent(L),
         # Gauss: sum_{d|n} phi(d) = n, so at most one subgroup per order leaves phi(n) elements of order n
         cyclic=all(len(level) == 1 for level in L.levels.values()),
     )
@@ -126,7 +127,7 @@ def summarize_spec(
     max_subgroups: int = SUITE_MAX_SUBGROUPS,
 ) -> GaussSummary:
     """Cached summary keyed by spec string, shared across suites."""
-    return _summary(*_cached_lattice(spec_text, max_order, max_subgroups))
+    return _summary(_cached_lattice(spec_text, max_order, max_subgroups))
 
 
 class _LatticeCache(OrderedDict):
@@ -149,10 +150,10 @@ _lattices = _LatticeCache()
 _LATTICE_CACHE_BYTES = 4 << 20
 
 
-def _cached_lattice(spec, max_order, max_subgroups) -> tuple[Group, Lattice]:
-    """The group of a suite spec (text or parsed) and its lattice, within both
-    caps, enumerated at most once per process while the lattice stays in the
-    cache (see module docstring)."""
+def _cached_lattice(spec, max_order, max_subgroups) -> Lattice:
+    """The lattice of a suite spec (text or parsed), within both caps,
+    enumerated at most once per process while it stays in the cache (see
+    module docstring)."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
     _require_order(spec.order(), max_order)
@@ -161,7 +162,7 @@ def _cached_lattice(spec, max_order, max_subgroups) -> tuple[Group, Lattice]:
     if key in _lattices:
         _lattices.move_to_end(key)
         levels, totients, cyclic_sum, _ = _lattices[key]
-        return G, Lattice(G, dict(levels), totients, cyclic_sum)
+        return Lattice(G, dict(levels), totients, cyclic_sum)
     L = all_subgroups(G, max_subgroups=max_subgroups)
     arrays = [*L.levels.values(), L.totients]
     size = sum(a.nbytes for a in arrays)
@@ -169,7 +170,7 @@ def _cached_lattice(spec, max_order, max_subgroups) -> tuple[Group, Lattice]:
         for a in arrays:
             a.setflags(write=False)
         _lattices.store(key, (dict(L.levels), L.totients, L.cyclic_sum, size))
-    return G, L
+    return L
 
 
 def subgroup_gauss_sum_from_lattice(L: Lattice, sub) -> int:
@@ -178,7 +179,7 @@ def subgroup_gauss_sum_from_lattice(L: Lattice, sub) -> int:
     return int(L.totients[L.contained_in(sub.members)].sum())
 
 
-def class_subgroup_closure(G: Group, L: Lattice) -> list[tuple[int, bool]]:
+def class_subgroup_closure(L: Lattice) -> list[tuple[int, bool]]:
     """Class membership of every subgroup, read off the parent lattice:
     (subgroup order, Gauss sum equals order) per subgroup in canonical
     order.  Lets scans probe empirically whether membership is inherited
@@ -190,12 +191,13 @@ def class_subgroup_closure(G: Group, L: Lattice) -> list[tuple[int, bool]]:
     in which H, and their totients are added into S(H).  No gather holds
     more than _BATCH_LIMIT entries unless one row alone is wider."""
     totients = np.split(L.totients, np.cumsum([len(level) for level in L.levels.values()])[:-1])
+    n = L.group.order
     closure = []
-    chunk = max(1, _BATCH_LIMIT // G.order)
+    chunk = max(1, _BATCH_LIMIT // n)
     for h, level in L.levels.items():
         for start in range(0, len(level), chunk):
             block = level[start : start + chunk]
-            marks = np.zeros((len(block), G.order), dtype=bool)
+            marks = np.zeros((len(block), n), dtype=bool)
             marks[np.arange(len(block))[:, None], block] = True
             sums = np.zeros(len(block), dtype=np.int64)
             for (k, down), phis in zip(L.levels.items(), totients):
@@ -208,24 +210,21 @@ def class_subgroup_closure(G: Group, L: Lattice) -> list[tuple[int, bool]]:
     return closure
 
 
-def inclusion_exclusion_residual(G: Group, L: Lattice) -> tuple[int, int]:
+def inclusion_exclusion_residual(L: Lattice) -> tuple[int, int]:
     """Both sides of the maximal-subgroup inclusion-exclusion identity
     S(G) = phi(G) + sum_i S(M_i) - p * S(Frattini) for p-groups with
     p + 1 maximal subgroups.  Each S(M_i) sums the totients of M_i's
     down-set, and K lies in the Frattini subgroup exactly when it lies in
-    every M_i, so S(Frattini) sums those of the AND of the down-sets."""
-    pk = prime_power(G.order)
+    every M_i, so S(Frattini) sums those of the AND of the down-sets,
+    each added and ANDed as the walk yields it."""
+    pk = prime_power(L.group.order)
     if pk is None:
-        raise NotPrimePowerError(f"group order {G.order} is not a prime power")
-    p = pk[0]
-    downs = [down for _, down in _maxima(L)]
-    lhs = gauss_sum(G, L)
-    rhs = (
-        int(L.totients[-1])
-        + sum(int(L.totients[down].sum()) for down in downs)
-        - p * int(L.totients[np.logical_and.reduce(downs)].sum())
-    )
-    return lhs, rhs
+        raise NotPrimePowerError(f"group order {L.group.order} is not a prime power")
+    maxima_sum, inside = 0, np.ones(len(L), dtype=bool)
+    for _, down in _maxima(L):
+        maxima_sum += int(L.totients[down].sum())
+        inside &= down
+    return gauss_sum(L), int(L.totients[-1]) + maxima_sum - pk[0] * int(L.totients[inside].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +392,14 @@ def _suite_thm4(result, params, max_order, max_subgroups) -> None:
         pk = prime_power(spec.order())
         if pk is None or pk[1] < 4:
             raise InvalidParameterError(f"{spec}: corpus group must have order p^n, n >= 4")
-        G, L = _cached_lattice(spec, max_order, max_subgroups)
-        witness = large_abelian_subgroup_witness(G, L)
+        L = _cached_lattice(spec, max_order, max_subgroups)
+        witness = large_abelian_subgroup_witness(L)
         if witness is None:
             result.add(f"{spec}/no-witness", "no-witness", "no-witness")
             continue
-        s = gauss_sum(G, L)
+        s, n = gauss_sum(L), L.group.order
         m, r = witness
-        actual = "S>|G|" if s > G.order else f"violated (S={s}, |G|={G.order})"
+        actual = "S>|G|" if s > n else f"violated (S={s}, |G|={n})"
         result.add(f"{spec}/witness-m{m}-r{r}", "S>|G|", actual)
 
 
@@ -420,13 +419,13 @@ def _suite_thm5(result, params, max_order, max_subgroups) -> None:
         _require_order(p**n, max_order)
         jobs.append((GroupSpec("modular", (p, n)), None))
     for spec, closed in jobs:
-        G, L = _cached_lattice(spec, max_order, max_subgroups)
-        s = gauss_sum(G, L)
+        L = _cached_lattice(spec, max_order, max_subgroups)
+        s = gauss_sum(L)
         if closed is not None:
             result.add(f"{spec}/closed-form", s, closed)
-        lhs, rhs = inclusion_exclusion_residual(G, L)
+        lhs, rhs = inclusion_exclusion_residual(L)
         result.add(f"{spec}/inclusion-exclusion", lhs, rhs)
-        result.add(f"{spec}/exceeds-order", True, s > G.order)
+        result.add(f"{spec}/exceeds-order", True, s > L.group.order)
 
 
 def _suite_thm7(result, params, max_order, max_subgroups) -> None:
@@ -458,14 +457,14 @@ def _suite_thm8(result, params, max_order, max_subgroups) -> None:
         _require_order(p * q, max_order)
         specs.append(pq_group_spec(p, q))
     for spec in specs:
-        G, L = _cached_lattice(spec, max_order, max_subgroups)
-        witness = fixed_point_free_decomposition(G, L)
+        L = _cached_lattice(spec, max_order, max_subgroups)
+        witness = fixed_point_free_decomposition(L)
         result.add(f"{spec}/witness", True, witness is not None)
         if witness is None:
             continue
         N, H, p, found = witness
         count = len(found)
-        s = gauss_sum(G, L)
+        s = gauss_sum(L)
         result.add(f"{spec}/formula", s, semidirect_gauss_sum(N.order, p, count))
         result.add(f"{spec}/criterion", s == N.order * p, count == N.order)
 
@@ -474,12 +473,12 @@ def _suite_example_pq(result, params, max_order, max_subgroups) -> None:
     for p, q in params["pairs"]:
         _require_order(p * q, max_order)
         spec = pq_group_spec(p, q)
-        G, L = _cached_lattice(spec, max_order, max_subgroups)
-        s = gauss_sum(G, L)
+        L = _cached_lattice(spec, max_order, max_subgroups)
+        s = gauss_sum(L)
         result.add(f"{spec}/gauss-sum", p * q, s)
         result.add(f"{spec}/subgroup-count", q + 3, len(L))
         N = L.of_order(q)[0]
-        result.add(f"{spec}/complement-count", q, len(complements(G, N, L)))
+        result.add(f"{spec}/complement-count", q, len(complements(L, N)))
 
 
 PROP1_PAIRS_DEFAULT = (
@@ -540,15 +539,15 @@ def _suite_cor2(result, params, max_order, max_subgroups) -> None:
     for spec in _parsed(params["corpus"]):
         if spec.order() > bound:
             raise RangeTooLargeError(f"{spec}: order {spec.order()} exceeds suite bound {bound}")
-        G, L = _cached_lattice(spec, max_order, max_subgroups)
-        nilpotent = is_nilpotent(G, L)
+        L = _cached_lattice(spec, max_order, max_subgroups)
+        nilpotent = is_nilpotent(L)
         result.add(f"{spec}/nilpotent", True, nilpotent)
         if not nilpotent:  # no unique Sylow subgroups to factor over
             continue
         factored = math.prod(
-            subgroup_gauss_sum_from_lattice(L, subs[0]) for subs in sylow_subgroups(G, L).values()
+            subgroup_gauss_sum_from_lattice(L, subs[0]) for subs in sylow_subgroups(L).values()
         )
-        result.add(f"{spec}/sylow-factorization", gauss_sum(G, L), factored)
+        result.add(f"{spec}/sylow-factorization", gauss_sum(L), factored)
 
 
 CLOSING_CORPUS_DEFAULT = tuple(
@@ -560,18 +559,18 @@ CLOSING_CORPUS_DEFAULT = tuple(
 
 def _suite_closing_equality(result, params, max_order, max_subgroups) -> None:
     for spec in _parsed(params["corpus"]):
-        G, L = _cached_lattice(spec, max_order, max_subgroups)
-        summary = _summary(G, L)
+        L = _cached_lattice(spec, max_order, max_subgroups)
+        summary = _summary(L)
         # class membership is equivalent to the cyclic lower bound being attained
         result.add(str(spec), summary.in_class_c, summary.s_value == summary.cyclic_sum)
         if summary.in_class_c:
             # membership should be inherited by every subgroup
-            closure = class_subgroup_closure(G, L)
+            closure = class_subgroup_closure(L)
             result.add(f"{spec}/subgroup-closure", True, all(member for _, member in closure))
 
 
 # suite id -> (runner, the parameters it reads with their defaults); a
-# parameter whose default is a tuple must be given as a list or tuple
+# parameter must be given as a list or tuple, or an int, as its default is
 _SUITES = {
     "prop1": (_suite_prop1, {"pairs": PROP1_PAIRS_DEFAULT}),
     "cor2": (_suite_cor2, {"corpus": COR2_CORPUS_DEFAULT, "max_order": 500}),
@@ -605,10 +604,10 @@ def run_suite(
             f"suite {suite_id} has no parameter {unknown[0]!r}; it reads {', '.join(defaults)}"
         )
     for key, value in params.items():
-        if isinstance(defaults[key], tuple) and not isinstance(value, (list, tuple)):
-            raise InvalidParameterError(
-                f"suite {suite_id} parameter {key!r} must be a list or tuple, got {value!r}"
-            )
+        listed = isinstance(defaults[key], tuple)
+        if not isinstance(value, (list, tuple) if listed else int):
+            kind = "a list or tuple" if listed else "an int"
+            raise InvalidParameterError(f"suite {suite_id} parameter {key!r} must be {kind}, got {value!r}")
     result = SuiteResult(suite_id=suite_id)
     runner(result, {**defaults, **params}, max_order, max_subgroups)
     return result

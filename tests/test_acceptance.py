@@ -28,6 +28,7 @@ from grouptotient import (
 )
 from grouptotient.verify import SUITE_MAX_SUBGROUPS, family_specs
 from naive_oracles import naive_all_subgroups, naive_subgroup_phi
+from test_lattice_batching import _subgroups
 
 MAX_ORDER = 20000
 
@@ -45,7 +46,7 @@ def test_criterion_1_classical_gauss():
 def test_criterion_2_cyclic_groups():
     for n in range(1, 301):
         G = construct(f"cyclic:{n}")
-        assert gauss_sum(G, all_subgroups(G)) == n, n
+        assert gauss_sum(all_subgroups(G)) == n, n
     report(2, "lattice-enumerated Gauss sum of every cyclic group of order <= 300 equals the order")
 
 
@@ -59,7 +60,7 @@ def test_criterion_3_golden_values():
     }
     for spec, want in golden.items():
         G = construct(spec)
-        assert gauss_sum(G, all_subgroups(G)) == want, spec
+        assert gauss_sum(all_subgroups(G)) == want, spec
     assert two_group_gauss_sum("Q", 3) == 14
     assert two_group_gauss_sum("D", 3) == 16
     assert two_group_gauss_sum("SD", 4) == 34
@@ -83,8 +84,8 @@ def test_criterion_5_theorem_5_two_groups():
     oracle_s = sum(naive_subgroup_phi(table, H) for H in naive_all_subgroups(table))
     assert oracle_s == 31  # phi(M16) + 2*S(Z8) + S(Z2xZ4) - 2*S(Z4) = 8+16+15-8
     L = all_subgroups(M)
-    assert gauss_sum(M, L) == 31
-    lhs, rhs = inclusion_exclusion_residual(M, L)
+    assert gauss_sum(L) == 31
+    lhs, rhs = inclusion_exclusion_residual(L)
     assert lhs == rhs == 31
     report(5, "D/Q/SD orders 16..128 and M(16)/M(32)/M(27)/M(81): closed forms, identity (4), S > |G|")
 
@@ -94,7 +95,7 @@ def test_criterion_6_theorem_7_dihedral():
     assert result.all_pass, result.failures()[:5]
     for n in range(2, 61, 2):
         G = construct(f"dihedral:{n}")
-        assert gauss_sum(G, all_subgroups(G)) == dihedral_gauss_sum(n), n
+        assert gauss_sum(all_subgroups(G)) == dihedral_gauss_sum(n), n
     report(6, "dihedral membership iff n odd for n <= 60; explicit even-n formula matches brute force")
 
 
@@ -104,16 +105,16 @@ def test_criterion_7_theorem_8_and_example():
         spec = pq_group_spec(p, q)
         G = construct(spec)
         L = all_subgroups(G)
-        assert gauss_sum(G, L) == p * q, (p, q)
-        N = next(H for H in L.subgroups if H.order == q)
-        assert len(complements(G, N, L)) == q, (p, q)
+        assert gauss_sum(L) == p * q, (p, q)
+        N = next(H for H in _subgroups(L) if H.order == q)
+        assert len(complements(L, N)) == q, (p, q)
     for n in range(3, 46, 2):
         G = construct(f"dihedral:{n}")
         L = all_subgroups(G)
-        rotations = next(H for H in L.subgroups if H.order == n)
+        rotations = next(H for H in _subgroups(L) if H.order == n)
         assert subgroup_is_cyclic(rotations)
-        assert len(complements(G, rotations, L)) == n, n
-        assert gauss_sum(G, L) == 2 * n, n
+        assert len(complements(L, rotations)) == n, n
+        assert gauss_sum(L) == 2 * n, n
     report(7, "all five pq groups have S = pq with q complements; odd dihedral: n complements, S = 2n")
 
 
@@ -140,12 +141,12 @@ def test_criterion_9_property_suite_and_scan():
     for spec in PROPERTY_CORPUS:
         G = construct(spec)
         L = all_subgroups(G)
-        s = gauss_sum(G, L)
+        s = gauss_sum(L)
         assert cyclic_totient_sum(G) == G.order, spec
         table = G.table.tolist()
         vanishing = all(
             naive_subgroup_phi(table, H.members.tolist()) == 0
-            for H in L.subgroups
+            for H in _subgroups(L)
             if not subgroup_is_cyclic(H)
         )
         assert (s == G.order) == vanishing, spec
@@ -187,7 +188,7 @@ def test_criterion_10_io(tmp_path):
     gens.write_text("7\n1 2 3 4 5 6 0\n0 2 4 6 1 3 5\n")
     G = read_permutation_generators(gens)
     assert G.order == 21
-    assert gauss_sum(G, all_subgroups(G)) == 21
+    assert gauss_sum(all_subgroups(G)) == 21
 
     bad = tmp_path / "loop5.cayley"
     bad.write_text("5\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n4 2 0 1 3\n")

@@ -59,7 +59,7 @@ def test_read_klein_file_gauss_sum(tmp_path):
     path = tmp_path / "klein.cayley"
     path.write_text("4\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
     G = read_cayley_table(path)
-    assert gauss_sum(G, all_subgroups(G)) == 7
+    assert gauss_sum(all_subgroups(G)) == 7
 
 
 def test_round_trip_identity(tmp_path):
@@ -143,7 +143,7 @@ def test_permutation_symmetric_group_3(tmp_path):
     assert not G.is_abelian()
     assert group_totient(G) == 0
     # the symmetric group on 3 points is the order-6 dihedral group: S = 2*3
-    assert gauss_sum(G, all_subgroups(G)) == 6
+    assert gauss_sum(all_subgroups(G)) == 6
 
 
 def test_permutation_pq_group(tmp_path):
@@ -152,7 +152,7 @@ def test_permutation_pq_group(tmp_path):
     path.write_text("7\n1 2 3 4 5 6 0\n0 2 4 6 1 3 5\n")
     G = read_permutation_generators(path)
     assert G.order == 21
-    assert gauss_sum(G, all_subgroups(G)) == 21
+    assert gauss_sum(all_subgroups(G)) == 21
 
 
 def test_permutation_deterministic_reindexing(tmp_path):

@@ -31,7 +31,7 @@ from naive_oracles import (
     naive_cyclic_subgroups,
     naive_orders,
 )
-from test_lattice_batching import _bits
+from test_lattice_batching import _bits, _subgroups
 
 ORACLE_SPECS = [
     "cyclic:12",
@@ -59,7 +59,7 @@ ORACLE_SPECS = [
 def test_all_subgroups_matches_pairwise_join_oracle(spec):
     G = construct(spec)
     L = all_subgroups(G)
-    got = {frozenset(int(m) for m in H.members) for H in L.subgroups}
+    got = {frozenset(int(m) for m in H.members) for H in _subgroups(L)}
     assert got == naive_all_subgroups(G.table.tolist())
 
 
@@ -86,7 +86,7 @@ def test_cyclic_subgroups_cover_group():
 
 
 def _lattice_sets(G):
-    return {frozenset(H.members.tolist()) for H in all_subgroups(G).subgroups}
+    return {frozenset(H.members.tolist()) for H in _subgroups(all_subgroups(G))}
 
 
 def test_generated_subgroup_examples():
@@ -109,7 +109,7 @@ def test_generated_subgroup_of_members_is_that_subgroup(tmp_path):
     path.write_text("5\n1 2 3 4 0\n1 2 0 3 4\n")
     for G in (read_permutation_generators(path), construct("dihedral:12")):
         table = G.table.tolist()
-        for H in all_subgroups(G).subgroups:
+        for H in _subgroups(all_subgroups(G)):
             assert naive_closure(table, H.members.tolist()) == set(H.members.tolist()), H
             assert H.members.dtype == G.table.dtype
 
@@ -127,8 +127,9 @@ def test_lattice_of_cyclic_group_one_subgroup_per_divisor():
         G = construct(f"cyclic:{n}")
         L = all_subgroups(G)
         assert len(L) == len(divisors(n))
-        assert sorted(H.order for H in L.subgroups) == divisors(n)
-        assert all(subgroup_is_cyclic(H) for H in L.subgroups)
+        subgroups = _subgroups(L)
+        assert sorted(H.order for H in subgroups) == divisors(n)
+        assert all(subgroup_is_cyclic(H) for H in subgroups)
 
 
 def test_lattice_counts_examples():
@@ -140,25 +141,27 @@ def test_lattice_contains_bounds_and_orders_divide():
     for spec in ORACLE_SPECS:
         G = construct(spec)
         L = all_subgroups(G)
-        assert L.subgroups[0].order == 1
-        assert L.subgroups[-1].order == G.order
-        assert all(G.order % H.order == 0 for H in L.subgroups)
+        subgroups = _subgroups(L)
+        assert subgroups[0].order == 1
+        assert subgroups[-1].order == G.order
+        assert all(G.order % H.order == 0 for H in subgroups)
 
 
 def test_lattice_canonical_order_and_no_duplicates():
     for spec in ("dihedral:6", "quaternion:16"):
         L = all_subgroups(construct(spec))
-        keys = [H.sort_key() for H in L.subgroups]
+        subgroups = _subgroups(L)
+        keys = [H.sort_key() for H in subgroups]
         assert keys == sorted(keys)
-        assert len({_bits(H) for H in L.subgroups}) == len(L)
+        assert len({_bits(H) for H in subgroups}) == len(L)
 
 
 def test_lattice_intersection_closed():
     for spec in ("dihedral:6", "quaternion:16", "abelian:2,4", "sdp:7,3,2"):
-        L = all_subgroups(construct(spec))
-        masks = {_bits(H) for H in L.subgroups}
-        for A in L.subgroups:
-            for B in L.subgroups:
+        subgroups = _subgroups(all_subgroups(construct(spec)))
+        masks = {_bits(H) for H in subgroups}
+        for A in subgroups:
+            for B in subgroups:
                 assert (_bits(A) & _bits(B)) in masks
 
 
@@ -167,9 +170,10 @@ def test_lattice_join_closed():
         G = construct(spec)
         L = all_subgroups(G)
         table = G.table.tolist()
-        masks = {_bits(H) for H in L.subgroups}
-        for A in L.subgroups:
-            for B in L.subgroups:
+        subgroups = _subgroups(L)
+        masks = {_bits(H) for H in subgroups}
+        for A in subgroups:
+            for B in subgroups:
                 joined = naive_closure(table, A.members.tolist() + B.members.tolist())
                 assert sum(1 << m for m in joined) in masks
 
@@ -187,10 +191,11 @@ def test_dihedral_subgroup_census():
         G = construct(f"dihedral:{n}")
         L = all_subgroups(G)
         rotation_mask = (1 << n) - 1  # rotations occupy indices 0..n-1
+        subgroups = _subgroups(L)
         for d in divisors(n):
-            inside = [H for H in L.subgroups if H.order == d and (_bits(H) & ~rotation_mask) == 0]
+            inside = [H for H in subgroups if H.order == d and (_bits(H) & ~rotation_mask) == 0]
             assert len(inside) == 1, (n, d)
-            mixed = [H for H in L.subgroups if H.order == 2 * d and (_bits(H) & ~rotation_mask) != 0]
+            mixed = [H for H in subgroups if H.order == 2 * d and (_bits(H) & ~rotation_mask) != 0]
             assert len(mixed) == n // d, (n, d)
         assert len(L) == sum(1 + n // d for d in divisors(n))
 
@@ -232,51 +237,52 @@ def test_frattini_of_two_groups_is_cyclic_quarter_order():
 def test_is_normal_examples():
     G = construct("dihedral:3")
     L = all_subgroups(G)
-    assert is_normal(G, L.subgroups[0])
-    rot = next(H for H in L.subgroups if H.order == 3)
-    assert is_normal(G, rot)
-    refl = next(H for H in L.subgroups if H.order == 2)
-    assert not is_normal(G, refl)
+    subgroups = _subgroups(L)
+    assert is_normal(subgroups[0])
+    rot = next(H for H in subgroups if H.order == 3)
+    assert is_normal(rot)
+    refl = next(H for H in subgroups if H.order == 2)
+    assert not is_normal(refl)
 
 
 def test_complements_examples():
     Z6 = construct("cyclic:6")
     L6 = all_subgroups(Z6)
-    N = next(H for H in L6.subgroups if H.order == 3)
-    assert len(complements(Z6, N, L6)) == 1
+    N = next(H for H in _subgroups(L6) if H.order == 3)
+    assert len(complements(L6, N)) == 1
 
     D6 = construct("dihedral:3")
     LD = all_subgroups(D6)
-    rot = next(H for H in LD.subgroups if H.order == 3)
-    assert len(complements(D6, rot, LD)) == 3
+    rot = next(H for H in _subgroups(LD) if H.order == 3)
+    assert len(complements(LD, rot)) == 3
 
     G21 = construct("sdp:7,3,2")
     L21 = all_subgroups(G21)
-    N7 = next(H for H in L21.subgroups if H.order == 7)
-    assert len(complements(G21, N7, L21)) == 7
+    N7 = next(H for H in _subgroups(L21) if H.order == 7)
+    assert len(complements(L21, N7)) == 7
 
 
 def test_complements_requires_normal():
     D6 = construct("dihedral:3")
     L = all_subgroups(D6)
-    refl = next(H for H in L.subgroups if H.order == 2)
+    refl = next(H for H in _subgroups(L) if H.order == 2)
     with pytest.raises(NotNormalError):
-        complements(D6, refl, L)
+        complements(L, refl)
 
 
 def test_is_nilpotent_examples():
     for spec in ("quaternion:16", "abelian:2,4", "cyclic:6", "heisenberg:3"):
         G = construct(spec)
-        assert is_nilpotent(G, all_subgroups(G))
+        assert is_nilpotent(all_subgroups(G))
     for spec in ("dihedral:3", "dihedral:6", "sdp:7,3,2"):
         G = construct(spec)
-        assert not is_nilpotent(G, all_subgroups(G))
+        assert not is_nilpotent(all_subgroups(G))
 
 
 def test_sylow_subgroups_partition():
     G = construct("product:(quaternion:8)x(cyclic:9)")
     L = all_subgroups(G)
-    sylows = sylow_subgroups(G, L)
+    sylows = sylow_subgroups(L)
     assert sorted(sylows) == [2, 3]
     assert len(sylows[2]) == 1 and sylows[2][0].order == 8
     assert len(sylows[3]) == 1 and sylows[3][0].order == 9
@@ -284,20 +290,20 @@ def test_sylow_subgroups_partition():
 
 def test_abelian_subgroup_witness_examples():
     D16 = construct("dihedral:8")
-    assert large_abelian_subgroup_witness(D16, all_subgroups(D16)) is None
+    assert large_abelian_subgroup_witness(all_subgroups(D16)) is None
 
     # first witness in canonical order: a rank-3 subgroup of order 8 (3+3 >= 6);
     # the group itself (m=4, r=4) witnesses too but is visited later
     E16 = construct("abelian:2,2,2,2")
-    m, r = large_abelian_subgroup_witness(E16, all_subgroups(E16))
+    m, r = large_abelian_subgroup_witness(all_subgroups(E16))
     assert (m, r) == (3, 3) and m + r >= 4 + 2
 
     M27 = construct("modular:3,3")
-    assert large_abelian_subgroup_witness(M27, all_subgroups(M27)) is None
+    assert large_abelian_subgroup_witness(all_subgroups(M27)) is None
 
     # the order-8 dihedral times a 2-cycle has an elementary abelian maximal subgroup
     G = construct("product:(dihedral:4)x(cyclic:2)")
-    assert large_abelian_subgroup_witness(G, all_subgroups(G)) == (3, 3)
+    assert large_abelian_subgroup_witness(all_subgroups(G)) == (3, 3)
 
 
 def _exact_log(k, p):
@@ -315,7 +321,7 @@ def _scanned_witness(G, L):
     rows = G.table.tolist()
     p = next(q for q in range(2, G.order + 1) if G.order % q == 0)
     n = _exact_log(G.order, p)
-    for H in L.subgroups:
+    for H in _subgroups(L):
         members = H.members.tolist()
         if any(rows[x][y] != rows[y][x] for x in members for y in members):
             continue
@@ -345,13 +351,13 @@ def test_abelian_subgroup_witness_matches_a_scan_of_every_subgroup(spec, monkeyp
     expected = _scanned_witness(G, L)
     for budget in (lattice_mod._BATCH_LIMIT, 0):
         monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", budget)
-        assert large_abelian_subgroup_witness(G, L) == expected, budget
+        assert large_abelian_subgroup_witness(L) == expected, budget
 
 
 def test_abelian_subgroup_witness_requires_prime_power():
     G = construct("cyclic:6")
     with pytest.raises(NotPrimePowerError):
-        large_abelian_subgroup_witness(G, all_subgroups(G))
+        large_abelian_subgroup_witness(all_subgroups(G))
 
 
 def test_lattice_overflow():
@@ -377,7 +383,7 @@ def test_subgroup_as_group_induces_consistent_orders():
     G = construct("dihedral:6")
     L = all_subgroups(G)
     orders = naive_orders(G.table.tolist())
-    for H in L.subgroups:
+    for H in _subgroups(L):
         induced = as_group(H)
         parent_orders = sorted(orders[m] for m in H.members.tolist())
         assert sorted(induced.element_orders().tolist()) == parent_orders
@@ -391,7 +397,7 @@ def test_large_elementary_abelian_lattice_count():
 
 def test_whole_group_as_group_is_parent_table():
     G = construct("dihedral:5")
-    whole = all_subgroups(G).subgroups[-1]
+    whole = _subgroups(all_subgroups(G))[-1]
     assert as_group(whole).table.tolist() == G.table.tolist()
 
 
@@ -405,11 +411,11 @@ def test_fallback_coset_scan_matches_batch(monkeypatch):
     expected = {}
     for spec in specs:
         G = construct(spec)
-        expected[spec] = [(H.order, _bits(H)) for H in all_subgroups(G).subgroups]
+        expected[spec] = [(H.order, _bits(H)) for H in _subgroups(all_subgroups(G))]
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
     for spec in specs:
         G = construct(spec)
-        got = [(H.order, _bits(H)) for H in all_subgroups(G).subgroups]
+        got = [(H.order, _bits(H)) for H in _subgroups(all_subgroups(G))]
         assert got == expected[spec], spec
 
 
@@ -424,11 +430,11 @@ def test_fallback_coset_scan_matches_batch_on_permutation_groups(tmp_path, monke
         "a5": _group_from_generators(tmp_path, 5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)]),
         "psl2_7": _group_from_generators(tmp_path, 8, psl),
     }
-    expected = {name: [(H.order, _bits(H)) for H in all_subgroups(G).subgroups] for name, G in groups.items()}
+    expected = {name: [(H.order, _bits(H)) for H in _subgroups(all_subgroups(G))] for name, G in groups.items()}
     assert [len(expected["a5"]), len(expected["psl2_7"])] == [59, 179]
     monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", 0)
     for name, G in groups.items():
-        got = [(H.order, _bits(H)) for H in all_subgroups(G).subgroups]
+        got = [(H.order, _bits(H)) for H in _subgroups(all_subgroups(G))]
         assert got == expected[name], name
 
 
@@ -446,11 +452,11 @@ def test_alternating_group_4(tmp_path):
     assert G.order == 12
     L = all_subgroups(G)
     assert len(L) == 10
-    assert sorted(H.order for H in L.subgroups) == [1, 2, 2, 2, 3, 3, 3, 3, 4, 12]
+    assert sorted(H.order for H in _subgroups(L)) == [1, 2, 2, 2, 3, 3, 3, 3, 4, 12]
     from grouptotient import gauss_sum
 
-    assert gauss_sum(G, L) == 15
-    got = {frozenset(int(m) for m in H.members) for H in L.subgroups}
+    assert gauss_sum(L) == 15
+    got = {frozenset(int(m) for m in H.members) for H in _subgroups(L)}
     assert got == naive_all_subgroups(G.table.tolist())
 
 
@@ -462,8 +468,8 @@ def test_symmetric_group_4(tmp_path):
     assert len(L) == 30
     from grouptotient import gauss_sum
 
-    assert gauss_sum(G, L) == 42
-    got = {frozenset(int(m) for m in H.members) for H in L.subgroups}
+    assert gauss_sum(L) == 42
+    got = {frozenset(int(m) for m in H.members) for H in _subgroups(L)}
     assert got == naive_all_subgroups(G.table.tolist())
 
 
@@ -476,13 +482,13 @@ def test_alternating_group_5(tmp_path):
     L = all_subgroups(G)
     assert len(L) == 59
     by_order = {}
-    for H in L.subgroups:
+    for H in _subgroups(L):
         by_order[H.order] = by_order.get(H.order, 0) + 1
     assert by_order == {1: 1, 2: 15, 3: 10, 4: 5, 5: 6, 6: 10, 10: 6, 12: 5, 60: 1}
     from grouptotient import gauss_sum, is_nilpotent
 
-    assert gauss_sum(G, L) == 75
-    assert not is_nilpotent(G, L)
+    assert gauss_sum(L) == 75
+    assert not is_nilpotent(L)
 
 
 def test_elementary_abelian_gaussian_binomial_counts():

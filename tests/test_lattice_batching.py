@@ -44,9 +44,14 @@ def _bits(H):
     return sum(1 << int(x) for x in H.members)
 
 
+def _subgroups(L):
+    """Every subgroup of L in canonical order, one Subgroup per level row."""
+    return [H for k in L.levels for H in L.of_order(k)]
+
+
 def _records(L):
     return [
-        (H.order, H.members.tolist(), _bits(H), t) for H, t in zip(L.subgroups, L.totients.tolist())
+        (H.order, H.members.tolist(), _bits(H), t) for H, t in zip(_subgroups(L), L.totients.tolist())
     ]
 
 
@@ -67,10 +72,11 @@ def test_level_sweep_independent_of_chunk_budget(tmp_path, monkeypatch):
         for budget in (lattice_mod._BATCH_LIMIT, 4 * G.order, 0):
             monkeypatch.setattr(lattice_mod, "_BATCH_LIMIT", budget)
             L = all_subgroups(G)
-            keys = [H.sort_key() for H in L.subgroups]
+            subgroups = _subgroups(L)
+            keys = [H.sort_key() for H in subgroups]
             assert keys == sorted(keys), (name, budget)
-            assert len({_bits(H) for H in L.subgroups}) == len(L), (name, budget)
-            for H in L.subgroups:
+            assert len({_bits(H) for H in subgroups}) == len(L), (name, budget)
+            for H in subgroups:
                 assert H.members.dtype == G.table.dtype, (name, budget)
             assert _records(L) == expected[name], (name, budget)
         monkeypatch.undo()
@@ -154,11 +160,12 @@ def test_prime_index_levels_are_not_swept(tmp_path, monkeypatch, budget):
             L = all_subgroups(G)
             assert list(L.levels) == sorted(L.levels) and L.levels[G.order].shape == (1, G.order), G
             assert np.array_equal(L.levels[G.order][0], np.arange(G.order)), G
-            keys = [H.sort_key() for H in L.subgroups]
+            subgroups = _subgroups(L)
+            keys = [H.sort_key() for H in subgroups]
             assert keys == sorted(keys), G
             naive = naive_all_subgroups(table)
-            assert len(L) == len(naive) and {frozenset(H.members.tolist()) for H in L.subgroups} == naive, G
-            assert L.totients.tolist() == [naive_subgroup_phi(table, H.members.tolist()) for H in L.subgroups], G
+            assert len(L) == len(naive) and {frozenset(H.members.tolist()) for H in subgroups} == naive, G
+            assert L.totients.tolist() == [naive_subgroup_phi(table, H.members.tolist()) for H in subgroups], G
             assert L.cyclic_sum == G.order, G
     assert len(all_subgroups(construct("cyclic:7"))) == 2
 
@@ -189,10 +196,10 @@ def test_batched_gauss_sum_matches_per_subgroup_totients(tmp_path):
     for G in groups:
         L = all_subgroups(G)
         table = G.table.tolist()
-        naive = [naive_subgroup_phi(table, H.members.tolist()) for H in L.subgroups]
+        naive = [naive_subgroup_phi(table, H.members.tolist()) for H in _subgroups(L)]
         assert L.totients.dtype == np.int64, G
         assert L.totients.tolist() == naive, G
-        assert gauss_sum(G, L) == sum(naive), G
+        assert gauss_sum(L) == sum(naive), G
 
 
 def test_cyclic_sum_is_read_off_the_lattice(tmp_path):
@@ -213,7 +220,7 @@ def test_cyclic_sum_is_read_off_the_lattice(tmp_path):
 def test_gauss_sum_pins_benchmark_oracle_values():
     for spec, s in (("abelian:2,2,2,2,2,2,2", 358776), ("abelian:4,4,4", 876)):
         G = construct(spec)
-        assert gauss_sum(G, all_subgroups(G)) == s
+        assert gauss_sum(all_subgroups(G)) == s
 
 
 def _joins(monkeypatch, G):
@@ -274,7 +281,7 @@ def test_join_is_the_closure_when_a_is_its_least_new_element(tmp_path):
         table, rows = G.table, G.table.tolist()
         inverses = [row.index(0) for row in rows]
         outcomes = set()
-        for H in all_subgroups(G).subgroups:
+        for H in _subgroups(all_subgroups(G)):
             inside = set(H.members.tolist())
             minima = table[H.members].min(axis=0)  # minima[x] = min(H*x)
             for a in range(len(rows)):

@@ -31,6 +31,7 @@ from naive_oracles import (
     row_sweep_associativity,
     summary_fields,
 )
+from test_lattice_batching import _subgroups
 
 SMALL_SPECS = (
     [f"cyclic:{n}" for n in range(1, 25)]
@@ -58,9 +59,10 @@ def test_partition_identity(spec):
 def test_gauss_sum_lower_bound_and_lagrange(spec):
     G = construct(spec)
     L = all_subgroups(G)
-    assert gauss_sum(G, L) >= G.order
-    assert all(G.order % H.order == 0 for H in L.subgroups)
-    assert L.subgroups[0].order == 1 and L.subgroups[-1].order == G.order
+    assert gauss_sum(L) >= G.order
+    subgroups = _subgroups(L)
+    assert all(G.order % H.order == 0 for H in subgroups)
+    assert subgroups[0].order == 1 and subgroups[-1].order == G.order
 
 
 @given(spec_strategy)
@@ -90,7 +92,7 @@ NONABELIAN_TABLES = [
 def test_lattice_matches_naive_on_relabelled_nonabelian_tables(table, seed):
     """The candidate tests compare coset minima, so they depend on the labels."""
     relabelled = relabel(table, seed)
-    got = {frozenset(int(m) for m in H.members) for H in all_subgroups(Group(relabelled)).subgroups}
+    got = {frozenset(int(m) for m in H.members) for H in _subgroups(all_subgroups(Group(relabelled)))}
     assert got == naive_all_subgroups(relabelled.tolist())
 
 
@@ -98,7 +100,7 @@ def test_lattice_matches_naive_on_relabelled_nonabelian_tables(table, seed):
 @settings(deadline=None, max_examples=25)
 def test_lattice_matches_naive_on_tiny_groups(spec):
     G = construct(spec)
-    got = {frozenset(int(m) for m in H.members) for H in all_subgroups(G).subgroups}
+    got = {frozenset(int(m) for m in H.members) for H in _subgroups(all_subgroups(G))}
     assert got == naive_all_subgroups(G.table.tolist())
 
 
@@ -123,9 +125,9 @@ def test_multiplicativity_coprime_products(left, right):
     a, b = construct(left), construct(right)
     assert np.gcd(a.order, b.order) == 1
     prod = construct(f"product:({left})x({right})")
-    sa = gauss_sum(a, all_subgroups(a))
-    sb = gauss_sum(b, all_subgroups(b))
-    assert gauss_sum(prod, all_subgroups(prod)) == sa * sb
+    sa = gauss_sum(all_subgroups(a))
+    sb = gauss_sum(all_subgroups(b))
+    assert gauss_sum(all_subgroups(prod)) == sa * sb
     assert group_totient(prod) == group_totient(a) * group_totient(b)
 
 
@@ -139,7 +141,7 @@ def test_generated_subgroup_is_smallest_closed_superset(spec, data):
         st.lists(st.integers(0, G.order - 1), min_size=0, max_size=3)
     )
     L = all_subgroups(G)
-    holding = [H for H in L.subgroups if set(seed) <= set(H.members.tolist())]
+    holding = [H for H in _subgroups(L) if set(seed) <= set(H.members.tolist())]
     assert set(holding[0].members.tolist()) == naive_closure(G.table.tolist(), seed)
 
 

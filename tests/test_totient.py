@@ -21,11 +21,12 @@ from grouptotient import (
     two_group_gauss_sum,
 )
 from naive_oracles import as_group, naive_gauss_sum, naive_phi, naive_subgroup_phi
+from test_lattice_batching import _subgroups
 
 
 def s_of(spec):
     G = construct(spec)
-    return gauss_sum(G, all_subgroups(G))
+    return gauss_sum(all_subgroups(G))
 
 
 def test_group_totient_examples():
@@ -50,7 +51,7 @@ def test_subgroup_totient_uses_parent_orders():
     equal direct counts on each subgroup as a group of its own."""
     G = construct("dihedral:6")
     L = all_subgroups(G)
-    for H, t in zip(L.subgroups, L.totients.tolist()):
+    for H, t in zip(_subgroups(L), L.totients.tolist()):
         induced = as_group(H)
         assert t == naive_phi(induced.table.tolist())
     assert summarize(G).phi == L.totients[-1] == naive_phi(G.table.tolist())
@@ -73,7 +74,7 @@ def test_gauss_sum_cyclic_equals_order():
 def test_gauss_sum_matches_naive():
     for spec in ("dihedral:6", "quaternion:16", "modular:2,4", "heisenberg:3", "abelian:2,4"):
         G = construct(spec)
-        assert gauss_sum(G, all_subgroups(G)) == naive_gauss_sum(G.table.tolist())
+        assert gauss_sum(all_subgroups(G)) == naive_gauss_sum(G.table.tolist())
 
 
 def test_cyclic_sum_equals_order():
@@ -85,7 +86,7 @@ def test_cyclic_sum_equals_order():
 def test_gauss_sum_lower_bound():
     for spec in ("abelian:2,2", "dihedral:5", "quaternion:32", "modular:3,4", "heisenberg:5"):
         G = construct(spec)
-        assert gauss_sum(G, all_subgroups(G)) >= cyclic_totient_sum(G) == G.order
+        assert gauss_sum(all_subgroups(G)) >= cyclic_totient_sum(G) == G.order
 
 
 def test_abelian_p_group_totient_closed_form():
@@ -177,16 +178,16 @@ def test_dihedral_gauss_sum_equals_the_rational_product():
 
 def test_fixed_point_free_decomposition_examples():
     D18 = construct("dihedral:9")
-    w = fixed_point_free_decomposition(D18, all_subgroups(D18))
+    w = fixed_point_free_decomposition(all_subgroups(D18))
     assert w is not None
     N, H, p, _ = w
     assert (N.order, H.order, p) == (9, 2, 2)
 
     Z12 = construct("cyclic:12")
-    assert fixed_point_free_decomposition(Z12, all_subgroups(Z12)) is None
+    assert fixed_point_free_decomposition(all_subgroups(Z12)) is None
 
     G21 = construct("sdp:7,3,2")
-    w = fixed_point_free_decomposition(G21, all_subgroups(G21))
+    w = fixed_point_free_decomposition(all_subgroups(G21))
     assert w is not None
     N, H, p, _ = w
     assert (N.order, H.order, p) == (7, 3, 3)
@@ -195,17 +196,17 @@ def test_fixed_point_free_decomposition_examples():
 def test_fixed_point_free_decomposition_absent_for_even_dihedral():
     for n in (4, 6, 8):
         G = construct(f"dihedral:{n}")
-        assert fixed_point_free_decomposition(G, all_subgroups(G)) is None
+        assert fixed_point_free_decomposition(all_subgroups(G)) is None
 
 
 def test_theorem8_formula_and_criterion():
     for spec in ("dihedral:9", "dihedral:15", "sdp:7,3,2", "sdp:13,3,3"):
         G = construct(spec)
         L = all_subgroups(G)
-        N, H, p, found = fixed_point_free_decomposition(G, L)
-        assert found == complements(G, N, L) and H in found
+        N, H, p, found = fixed_point_free_decomposition(L)
+        assert found == complements(L, N) and H in found
         count = len(found)
-        s = gauss_sum(G, L)
+        s = gauss_sum(L)
         assert s == semidirect_gauss_sum(N.order, p, count)
         assert (s == N.order * p) == (count == N.order)
 
@@ -215,7 +216,7 @@ def test_inclusion_exclusion_identity():
 
     for spec in ("modular:2,4", "modular:3,3", "dihedral:8", "quaternion:16", "semidihedral:16"):
         G = construct(spec)
-        lhs, rhs = inclusion_exclusion_residual(G, all_subgroups(G))
+        lhs, rhs = inclusion_exclusion_residual(all_subgroups(G))
         assert lhs == rhs, spec
 
 
@@ -225,7 +226,7 @@ def test_inclusion_exclusion_needs_a_prime_power_order(spec):
 
     G = construct(spec)
     with pytest.raises(NotPrimePowerError, match="not a prime power"):
-        inclusion_exclusion_residual(G, all_subgroups(G))
+        inclusion_exclusion_residual(all_subgroups(G))
 
 
 def test_summarize_golden_records():
@@ -250,11 +251,11 @@ def test_class_membership_vanishing_totient_characterization():
     for spec in ("cyclic:24", "dihedral:9", "dihedral:6", "abelian:2,2", "sdp:7,3,2", "quaternion:8"):
         G = construct(spec)
         L = all_subgroups(G)
-        s = gauss_sum(G, L)
+        s = gauss_sum(L)
         table = G.table.tolist()
         vanishing = all(
             naive_subgroup_phi(table, H.members.tolist()) == 0
-            for H in L.subgroups
+            for H in _subgroups(L)
             if not subgroup_is_cyclic(H)
         )
         assert (s == G.order) == vanishing, spec
@@ -265,7 +266,7 @@ def test_nonabelian_order_p_cubed_exceeds_order():
     for spec in ("dihedral:4", "quaternion:8", "heisenberg:3", "modular:3,3", "heisenberg:5", "modular:5,3"):
         G = construct(spec)
         assert not G.is_abelian()
-        assert gauss_sum(G, all_subgroups(G)) > G.order, spec
+        assert gauss_sum(all_subgroups(G)) > G.order, spec
 
 
 def test_multiplicativity_over_coprime_orders():
@@ -273,7 +274,7 @@ def test_multiplicativity_over_coprime_orders():
     for a, b in pairs:
         Ga, Gb = construct(a), construct(b)
         prod = construct(f"product:({a})x({b})")
-        assert gauss_sum(prod, all_subgroups(prod)) == s_of(a) * s_of(b)
+        assert gauss_sum(all_subgroups(prod)) == s_of(a) * s_of(b)
         assert group_totient(prod) == group_totient(Ga) * group_totient(Gb)
 
 

@@ -44,6 +44,7 @@ from grouptotient.verify import (
     subgroup_gauss_sum_from_lattice,
 )
 from naive_oracles import as_group, naive_is_normal, naive_order
+from test_lattice_batching import _subgroups
 
 
 def test_verify_classical_gauss_small():
@@ -169,16 +170,31 @@ def test_sequence_parameter_given_as_integer_is_rejected(suite_id, key, capsys):
     assert f"'{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [[5], "5"])
+@pytest.mark.parametrize(
+    "suite_id, key",
+    [
+        ("thm3", "max_order"), ("thm5", "n_max"), ("thm7", "n_max"),
+        ("thm8", "dihedral_max"), ("cor2", "max_order"),
+    ],
+)
+def test_integer_parameter_given_as_a_non_integer_is_rejected(suite_id, key, value):
+    """A list or a string where the default is an int fails naming the key,
+    instead of a comparison failing inside the suite."""
+    with pytest.raises(InvalidParameterError, match=f"'{key}' must be an int"):
+        run_suite(suite_id, {key: value})
+
+
 def test_sylow_gauss_sums_read_off_the_parent_lattice():
     """cor2 reads each Sylow factor off the parent lattice; the factor's
     own lattice gives the same Gauss sum."""
     for text in COR2_CORPUS_DEFAULT:
         G = construct(text)
         L = all_subgroups(G)
-        assert is_nilpotent(G, L), text
-        for p, (P,) in sylow_subgroups(G, L).items():
+        assert is_nilpotent(L), text
+        for p, (P,) in sylow_subgroups(L).items():
             Q = as_group(P)
-            assert subgroup_gauss_sum_from_lattice(L, P) == gauss_sum(Q, all_subgroups(Q)), (text, p)
+            assert subgroup_gauss_sum_from_lattice(L, P) == gauss_sum(all_subgroups(Q)), (text, p)
 
 
 def test_range_too_large():
@@ -431,10 +447,10 @@ def test_suite_lattices_are_enumerated_once_per_spec(monkeypatch):
     spec = parse_spec("product:(dihedral:3)x(cyclic:4)")
     expected = summarize(construct(spec))
     verify_mod, calls = _fresh_lattice_cache(monkeypatch)
-    G1, L1 = verify_mod._cached_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
-    G2, L2 = verify_mod._cached_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
+    L1 = verify_mod._cached_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
+    L2 = verify_mod._cached_lattice(spec, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
     assert calls == [str(spec)]
-    assert G2 is not G1 and L2.group is G2 and np.array_equal(G2.table, G1.table)
+    assert L2.group is not L1.group and np.array_equal(L2.group.table, L1.group.table)
     assert L2.levels.keys() == L1.levels.keys()
     for k, level in L2.levels.items():
         assert np.array_equal(level, L1.levels[k]) and not level.flags.writeable, k
@@ -455,7 +471,7 @@ def test_lattice_cache_evicts_the_least_recently_used(monkeypatch):
     verify_mod, calls = _fresh_lattice_cache(monkeypatch)
 
     def lattice(text):
-        return verify_mod._cached_lattice(text, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)[1]
+        return verify_mod._cached_lattice(text, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
 
     size = {
         text: sum(a.nbytes for a in [*L.levels.values(), L.totients])
@@ -566,13 +582,13 @@ def test_subgroup_closure_probe():
 
     # a class member: every subgroup is again a member
     G = construct("dihedral:9")
-    closure = class_subgroup_closure(G, all_subgroups(G))
+    closure = class_subgroup_closure(all_subgroups(G))
     assert all(member for _, member in closure)
 
     # a non-member still has member subgroups (all cyclic ones) and
     # non-member subgroups (e.g. Klein subgroups of the order-8 dihedral)
     G = construct("dihedral:4")
-    closure = class_subgroup_closure(G, all_subgroups(G))
+    closure = class_subgroup_closure(all_subgroups(G))
     assert any(member for _, member in closure)
     assert not all(member for _, member in closure)
 
@@ -587,8 +603,8 @@ def test_near_miss_semidirect_product_without_witness():
     G = construct("sdp:15,2,4")
     assert G.order == 30
     L = all_subgroups(G)
-    assert fixed_point_free_decomposition(G, L) is None
-    assert gauss_sum(G, L) == 30
+    assert fixed_point_free_decomposition(L) is None
+    assert gauss_sum(L) == 30
 
 
 def _linear_decomposition(G, L):
@@ -597,7 +613,8 @@ def _linear_decomposition(G, L):
     lists and sets alone."""
     table = G.table.tolist()
     n = len(table)
-    for N in L.subgroups:
+    subgroups = _subgroups(L)
+    for N in subgroups:
         members = N.members.tolist()
         index = n // len(members)
         if len(members) in (1, n) or not is_prime(index) or math.gcd(len(members), index) != 1:
@@ -606,7 +623,7 @@ def _linear_decomposition(G, L):
             continue
         if not naive_is_normal(table, members):
             continue
-        for H in L.subgroups:
+        for H in subgroups:
             if len(H) != index or set(H.members.tolist()) & set(members) != {0}:
                 continue
             h = H.members.tolist()[1]
@@ -617,7 +634,7 @@ def _linear_decomposition(G, L):
 
 
 def test_decomposition_reads_only_prime_index_levels():
-    """The witness matches a linear scan, and no subgroup list is built."""
+    """The witness matches a linear scan."""
     from grouptotient import fixed_point_free_decomposition
 
     specs = [f"dihedral:{n}" for n in range(3, 46, 2)]
@@ -626,8 +643,7 @@ def test_decomposition_reads_only_prime_index_levels():
     for spec in specs:
         G = construct(spec)
         L = all_subgroups(G)
-        witness = fixed_point_free_decomposition(G, L)
-        assert L._subgroups is None, spec
+        witness = fixed_point_free_decomposition(L)
         if witness is not None:
             N, H, p, _ = witness
             witness = (N.members.tolist(), H.members.tolist(), p)
