@@ -24,16 +24,18 @@ Most joins that would be abandoned are never started: every part of
 each right coset's minimum, so before joining it also requires
 
   * min(H*a^-1) >= a (a^-1 lies outside H because a does),
-  * a^2 in H or min(H*a^2) >= a, and
+  * a^2 in H or min(H*a^2) >= a,
   * in non-abelian groups, min(HaH) = a, where min(HaH) is the least
-    min(H*a*h) over h in H (in abelian groups HaH = H*a).
+    min(H*a*h) over h in H (in abelian groups HaH = H*a), and
+  * when a does not normalize H, each of a*h*a, a*h*a^-1 and a^-1*h*a
+    (h in H) in H or in a right coset whose minimum is >= a.
 
 These are necessary conditions only; the join stays the complete test,
-so they remove joins but never change what is found.  The same HaH
-gather says whether a normalizes H: every min(H*a*h) is a exactly when
-aH = Ha.  A normalizing a with a^2 in H is an index-2 step, <H, a> =
-H u H*a with least new element a = min(H*a), accepted with no join.  On
-A6 the sweep runs 486 joins and abandons 318.
+so they remove joins but never change what is found.  The HaH gather
+says whether a normalizes H (every min(H*a*h) is a exactly when aH =
+Ha); a normalizing a passes the last test by itself, and with a^2 in H
+it is an index-2 step, <H, a> = H u H*a with least new element a =
+min(H*a), accepted with no join.  A6 runs 238 joins, 70 abandoned.
 
 The search sweeps one subgroup order at a time, smallest first; as
 children outgrow their parents and chains are unique, the sweep order
@@ -45,31 +47,29 @@ other subgroup, once nothing is left to sweep.  Level 1 is read off the
 least-generator walk: the children of the trivial subgroup are the <a>
 whose least non-identity element is their least generator a, taken as
 one block per order with no candidate sweep and no join.  Every larger
-level's members form one matrix, swept in chunks of up to
-_BATCH_LIMIT = 2^18 gathered entries, and each chunk yields the
-right-coset minima minima[r, x] = min(H_r*x) in the table's dtype: the
-chunk's members are gathered member first, table.take(block.T, axis=0),
-so the min-reduction runs over the leading axis, one contiguous
-(rows, |G|) plane per member.
+level's members form one matrix, swept in chunks of up to _BATCH_LIMIT =
+2^18 gathered entries, and each chunk yields the right-coset minima
+minima[r, x] = min(H_r*x) in the table's dtype: the chunk's members are
+gathered member first, table.take(block.T, axis=0), so the min-reduction
+runs over the leading axis, one contiguous (rows, |G|) plane per member.
 A subgroup too large for one chunk (|H| * |G| > 2^18, first above order
-1024 when |H| = |G| / 4, the largest swept) is reduced over slices of its
-members, each of at most 2^18 gathered entries.  `is_normal` gathers
+1024 when |H| = |G| / 4, the largest swept) is reduced over slices of
+its members, each of at most 2^18 gathered entries.  `is_normal` gathers
 conjugates over the same slices.  Candidates are read off one flat mask,
-and a chunk with none stops there; every per-candidate minimum (H*a^-1,
-H*a^2, HaH) is read with one `take` from the flattened minima.  Index-2
-steps are built per chunk; other candidates are joined one by one, by a
-breadth-first walk over coset names: a right coset is named by its minimum and
-(H*x)*s = H*(x*s), so the coset reached from H*x by a generator s is
-minima[r, x*s], and members are gathered only for a join that succeeds.
-The cosets of H in <H, a> are the same whatever set generates H, so a
-join whose a does not normalize H walks by H's own members (its level
-row) and a; for a normalizing a the sweep passes no members, and the
-join walks by a alone.  No Python object is kept per subgroup: each
-level holds, beside its member matrix, an array of its rows' last chain
-generators, which the candidate mask reads.  One
-argsort per level of more than one row, over the rows read as big-endian
-byte strings, gives the canonical order.  One pass after the sweep counts
-each subgroup's totient, batching consecutive rows of any widths up to
+and a chunk with none stops there.  Index-2 steps are built per chunk;
+other candidates are joined one by one, by a breadth-first walk over
+coset names that reads one table entry and one minimum per step: a right
+coset is named by its minimum and (H*x)*s = H*(x*s), so the coset
+reached from H*x by a generator s is minima[r, x*s], and members are
+gathered only for a join that succeeds.  The cosets of H in <H, a> are
+the same whatever set generates H, so a join whose a does not normalize
+H walks by H's own members and a; for a normalizing a the sweep passes
+no members, and the join walks by a alone.  No Python object is kept per
+subgroup: beside its member matrix, each level holds its rows' last
+chain generators, which the candidate mask reads.  One argsort per level
+of more than one row, over the rows read as big-endian byte strings,
+gives the canonical order.  One pass after the sweep counts each
+subgroup's totient, batching consecutive rows of any widths up to
 _BATCH_LIMIT gathered element orders, and keeps the vector on the
 lattice, for every Gauss sum to read; it also sums the totients of the
 cyclic subgroups (those whose exponent is their order), so
@@ -273,10 +273,18 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
             else:
                 # hah[k, h] = min(H*a*h), so min(HaH) is the row minimum, and
                 # every entry is a exactly when a normalizes H (aH = Ha)
-                hah = flat.take(at[:, None] + products.take(a[:, None] * n + block.take(r, axis=0)))
-                keep = hah.min(axis=1) >= a
-                r, a, square = r[keep], a[keep], square[keep]
-                normal = hah[keep].max(axis=1) == a
+                ah = products.take(a[:, None] * n + block.take(r, axis=0))
+                hah = flat.take(at[:, None] + ah)
+                keep, normal = hah.min(axis=1) >= a, hah.max(axis=1) == a
+                odd = np.flatnonzero(keep & ~normal)
+                if len(odd):
+                    # a non-normalizing a also needs a*h*a, a*h*a^-1 and a^-1*h*a, all in <H, a>, in H
+                    # or in cosets with minima >= a (2-D indexing: no uint16 product is scaled by n)
+                    ao, ai, aho, h = a[odd, None], inverses.take(a[odd, None]), ah[odd], block[r[odd]]
+                    x = np.hstack([table[aho, ao], table[aho, ai], table[ai, table[h, ao]]])
+                    mins = minima[r[odd, None], x]
+                    keep[odd] = ((mins == 0) | (mins >= ao)).all(axis=1)
+                r, a, square, normal = r[keep], a[keep], square[keep], normal[keep]
             step = normal & (square == 0)
             if step.any():
                 # index-2 step: a normalizes H and a^2 is in H, so <H, a> =
@@ -353,7 +361,8 @@ def _join_with_element(table, minima, gens, a):
     seen = {0, a}
     names = [a]
     for x in names:  # breadth first: names grows while it is read
-        for c in minima.take(table[x].take(gens)).tolist():
+        for g in gens:
+            c = minima.item(table.item(x, g))
             if c not in seen:
                 if c < a:
                     return None

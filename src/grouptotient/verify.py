@@ -8,10 +8,10 @@ complete lattice enumeration.  Suite output is deterministic for a given
 Each suite is declared once, as a row of `_SUITES`: its id, its runner and
 its parameters with their defaults.  `run_suite` rejects a parameter the
 row does not declare or not of its default's kind (a list or tuple for a
-tuple, an int for an int), then hands the runner a fresh `SuiteResult`
-and the defaults overlaid with the given parameters.  The scan families
-are likewise the keys of one table, `_SCAN_CORPORA`, that maps each to
-its corpus builder.
+tuple, an int but not a bool for an int), hands the runner a fresh
+`SuiteResult` and the defaults overlaid with the given parameters, and
+refuses a result with no case.  The scan families are likewise the keys
+of one table, `_SCAN_CORPORA`, that maps each to its corpus builder.
 
 Suites share one per-process lattice cache: `summarize_spec` and the
 suites reach a spec's lattice through `_cached_lattice`, which checks the
@@ -605,11 +605,13 @@ def run_suite(
         )
     for key, value in params.items():
         listed = isinstance(defaults[key], tuple)
-        if not isinstance(value, (list, tuple) if listed else int):
+        if isinstance(value, bool) or not isinstance(value, (list, tuple) if listed else int):
             kind = "a list or tuple" if listed else "an int"
             raise InvalidParameterError(f"suite {suite_id} parameter {key!r} must be {kind}, got {value!r}")
     result = SuiteResult(suite_id=suite_id)
     runner(result, {**defaults, **params}, max_order, max_subgroups)
+    if not result.cases:
+        raise InvalidParameterError(f"suite {suite_id} records no case with parameters {params}")
     return result
 
 

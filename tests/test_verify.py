@@ -185,6 +185,21 @@ def test_integer_parameter_given_as_a_non_integer_is_rejected(suite_id, key, val
         run_suite(suite_id, {key: value})
 
 
+@pytest.mark.parametrize(
+    "suite_id, params",
+    [("thm7", {"n_max": -3}), ("thm7", {"n_max": True}), ("thm3", {"max_order": 0}), ("remark_d2n", {"n_max": 1})],
+)
+def test_parameters_that_give_no_case_are_rejected(suite_id, params, capsys):
+    """A suite that records no case would read as a pass, so it fails
+    naming its parameters, and the CLI exits 2; a bool is not an int."""
+    ((key, value),) = params.items()
+    with pytest.raises(InvalidParameterError, match=f"'{key}'"):
+        run_suite(suite_id, params)
+    if not isinstance(value, bool):  # the CLI passes only integers
+        assert main(["suite", suite_id, "--param", f"{key}={value}"]) == 2
+        assert f"suite {suite_id} records no case" in capsys.readouterr().err
+
+
 def test_sylow_gauss_sums_read_off_the_parent_lattice():
     """cor2 reads each Sylow factor off the parent lattice; the factor's
     own lattice gives the same Gauss sum."""
