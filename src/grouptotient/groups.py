@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 
 import numpy as np
 
@@ -140,7 +139,7 @@ class Group:
     orders) is cached lazily.
     """
 
-    __slots__ = ("order", "table", "spec", "_inverse", "_least", "_orders", "_abelian")
+    __slots__ = ("order", "table", "spec", "_walk", "_abelian")
 
     def __init__(self, table: np.ndarray, spec: GroupSpec | None = None):
         table = np.ascontiguousarray(table)
@@ -155,9 +154,7 @@ class Group:
         self.table = table.astype(_index_dtype(n), copy=False)
         self.table.setflags(write=False)
         self.spec = spec
-        self._inverse = None
-        self._least = None
-        self._orders = None
+        self._walk = None
         self._abelian = None
 
     def __repr__(self) -> str:
@@ -165,43 +162,23 @@ class Group:
         return f"Group({tag}, order={self.order})"
 
     def inverses(self) -> np.ndarray:
-        """Inverses of all elements, in the table's dtype (see :meth:`_read_walk`)."""
-        if self._inverse is None:
-            self._read_walk()
-        return self._inverse
+        """Inverses of all elements, in the table's dtype (see :func:`_least_generators`)."""
+        return self._walked()[2]
 
     def least_generators(self) -> dict[int, list[int]]:
         """The least generator of each cyclic subgroup, mapped to its powers
-        (see :func:`_least_generators`); walked once per group."""
-        if self._least is None:
-            self._least = _least_generators(self.table)
-        return self._least
+        (see :func:`_least_generators`)."""
+        return self._walked()[0]
 
     def element_orders(self) -> np.ndarray:
-        """Orders of all elements, int64 (see :meth:`_read_walk`)."""
-        if self._orders is None:
-            self._read_walk()
-        return self._orders
+        """Orders of all elements, int64 (see :func:`_least_generators`)."""
+        return self._walked()[1]
 
-    def _read_walk(self) -> None:
-        """Read every element's order and inverse off the least-generator
-        walk, both read-only: for a least generator a of order m, the power
-        a^k has order m / gcd(k, m) and inverse a^(m-k)."""
-        walks = self.least_generators().values()
-        lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
-        powers = np.fromiter(chain.from_iterable(walks), dtype=np.int64, count=int(lengths.sum()))
-        m = np.repeat(lengths, lengths)
-        start = np.repeat(np.cumsum(lengths) - lengths, lengths)  # where each walk begins
-        k = np.arange(1, len(powers) + 1) - start
-        orders = np.empty(self.order, dtype=np.int64)
-        orders[powers] = m // np.gcd(k, m)
-        # a^j sits j - 1 places into its walk, so a^(m-k) sits (m - k - 1) % m
-        # places in; the wrap keeps k = m, the identity, in place
-        inverse = np.empty(self.order, dtype=self.table.dtype)
-        inverse[powers] = powers[start + (m - k - 1) % m]
-        orders.setflags(write=False)
-        inverse.setflags(write=False)
-        self._orders, self._inverse = orders, inverse
+    def _walked(self) -> tuple[dict[int, list[int]], np.ndarray, np.ndarray]:
+        # walked once per group, whichever of the three readers comes first
+        if self._walk is None:
+            self._walk = _least_generators(self.table)
+        return self._walk
 
     def exponent(self) -> int:
         """lcm of all element orders; divides the group order."""
@@ -219,18 +196,24 @@ class Group:
         return self._abelian
 
 
-def _least_generators(table: np.ndarray) -> dict[int, list[int]]:
+def _least_generators(table: np.ndarray) -> tuple[dict[int, list[int]], np.ndarray, np.ndarray]:
     """Map the least generator a of each cyclic subgroup to its powers
-    a, a^2, ..., a^m = identity, in increasing order of a.
+    a, a^2, ..., a^m = identity, in increasing order of a; beside that map,
+    every element's order (int64) and inverse (in the table's dtype), both
+    read-only.
 
     The first element not yet marked is the least generator of its cyclic
     subgroup; one walk of its powers marks every generator a^k with
-    gcd(k, m) = 1, so each distinct cyclic subgroup is walked once.
+    gcd(k, m) = 1, so each distinct cyclic subgroup is walked once.  Each
+    element is marked exactly once, as a generator of order m, and its
+    inverse a^(m-k) sits m - k - 1 places into the walk (-1, the last
+    place, for the identity, walked alone).
     """
-    marked = bytearray(len(table))
+    n = len(table)
+    orders, inverse = [0] * n, [0] * n  # order 0: not yet marked
     out: dict[int, list[int]] = {}
-    for a in range(len(table)):
-        if marked[a]:
+    for a in range(n):
+        if orders[a]:
             continue
         x, powers = a, [a]
         while x != 0:
@@ -239,9 +222,12 @@ def _least_generators(table: np.ndarray) -> dict[int, list[int]]:
         m = len(powers)
         for k, x in enumerate(powers, 1):
             if math.gcd(k, m) == 1:
-                marked[x] = 1
+                orders[x], inverse[x] = m, powers[m - k - 1]
         out[a] = powers
-    return out
+    orders, inverse = np.array(orders, dtype=np.int64), np.array(inverse, dtype=table.dtype)
+    orders.setflags(write=False)
+    inverse.setflags(write=False)
+    return out, orders, inverse
 
 
 @dataclass(frozen=True)

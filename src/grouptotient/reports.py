@@ -140,10 +140,6 @@ def canonical_json(result) -> str:
     return json.dumps(to_jsonable(result), sort_keys=True, indent=2) + "\n"
 
 
-def _bool_cell(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def to_csv(result, summary_id: str = "group") -> str:
     """CSV rendering.  Scan results and summaries share the fixed
     group-row schema; suite results get one row per case."""
@@ -165,7 +161,7 @@ def to_csv(result, summary_id: str = "group") -> str:
                     case.case_id,
                     _cell(case.expected),
                     _cell(case.actual),
-                    _bool_cell(case.passed),
+                    _cell(case.passed),
                 )
             )
     else:
@@ -175,7 +171,7 @@ def to_csv(result, summary_id: str = "group") -> str:
 
 def _cell(value) -> str:
     if isinstance(value, bool):
-        return _bool_cell(value)
+        return "true" if value else "false"
     if isinstance(value, float):
         raise TypeError("reports must not contain floating-point values")
     return str(value)

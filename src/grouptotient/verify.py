@@ -310,7 +310,7 @@ def order_p_element_mod(p: int, q: int) -> int:
     if (q - 1) % p != 0:
         raise InvalidParameterError(f"{p} does not divide {q} - 1")
     for t in range(2, q):
-        if pow(t, p, q) == 1 and t != 1:
+        if pow(t, p, q) == 1:
             return t
     raise InvalidParameterError(f"no element of order {p} modulo {q}")
 

@@ -529,6 +529,9 @@ def test_canonical_json_is_sorted_and_integer_only():
     assert payload["all_pass"] is True
     with pytest.raises(TypeError):
         canonical_json({"bad": 1.5})
+    result.add("float", 1.5, 1.5)
+    with pytest.raises(TypeError, match="floating-point"):
+        to_csv(result)
 
 
 def test_fraction_rendering():

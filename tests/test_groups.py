@@ -144,6 +144,10 @@ def test_validate_table_looks_past_an_associative_generator():
         ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "latin-square-row", (1, 0, 1)),
         # column 1 and row 2 both repeat: the lower index is named first
         ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 2, 0, 1], [3, 0, 1, 2]], "latin-square-column", (1, 1, 2)),
+        # checks before the Latin square: the shape, then each entry's range
+        ([[0, 1, 2], [1, 0, 2]], "shape", (2, 3)),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 7]], "entry-range", (2, 2, 7)),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, -1]], "entry-range", (2, 2, -1)),
     ],
 )
 def test_validate_table_names_the_first_latin_square_failure(rows, axiom, witness):
@@ -270,6 +274,23 @@ def test_inverses_read_off_the_walk():
         inv = G.inverses()
         assert inv.dtype == G.table.dtype and not inv.flags.writeable
         assert not G.table[np.arange(G.order), inv].any(), G
+
+
+@pytest.mark.parametrize("first", ["least_generators", "element_orders", "inverses"])
+def test_one_walk_serves_generators_orders_and_inverses(first, monkeypatch):
+    """Whichever of the three readers a fresh group meets first, they all read
+    one least-generator walk."""
+    walk, walks = groups._least_generators, []
+
+    def counting(table):
+        walks.append(table)
+        return walk(table)
+
+    monkeypatch.setattr(groups, "_least_generators", counting)
+    G = construct("dihedral:6")
+    getattr(G, first)()
+    G.least_generators(), G.element_orders(), G.inverses()
+    assert len(walks) == 1
 
 
 def test_element_order_divides_group_order():
@@ -490,6 +511,8 @@ def test_dihedral_coincides_with_inverting_semidirect_action():
 def test_group_rejects_non_square_table():
     with pytest.raises(InvalidParameterError):
         Group(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(InvalidParameterError, match="element indices"):
+        Group(np.array([[0, 1], [1, 5]]))
 
 
 @pytest.mark.parametrize(

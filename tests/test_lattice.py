@@ -1,5 +1,6 @@
 """Subgroup lattice enumeration against the pairwise-join fixed-point oracle."""
 
+import numpy as np
 import pytest
 
 from grouptotient import (
@@ -7,6 +8,7 @@ from grouptotient import (
     LatticeOverflowError,
     NotNormalError,
     NotPrimePowerError,
+    Subgroup,
     all_subgroups,
     complements,
     construct,
@@ -268,6 +270,10 @@ def test_complements_requires_normal():
     refl = next(H for H in _subgroups(L) if H.order == 2)
     with pytest.raises(NotNormalError):
         complements(L, refl)
+    # the identity and the three reflections: closed under conjugation, not a subgroup
+    not_a_subgroup = Subgroup(D6, np.array([0, 3, 4, 5], dtype=D6.table.dtype))
+    with pytest.raises(NotNormalError, match="must divide the group order"):
+        complements(L, not_a_subgroup)
 
 
 def test_is_nilpotent_examples():

@@ -178,7 +178,7 @@ def test_least_generators_match_brute_force(spec):
     table = G.table.tolist()
     cyclic = [naive_closure(table, [a]) for a in range(len(table))]
     expected = {min(b for b in range(len(table)) if cyclic[b] == C) for C in cyclic}
-    got = _least_generators(G.table)
+    got = _least_generators(G.table)[0]
     assert set(got) == expected
     for a, powers in got.items():
         assert all(type(x) is int for x in powers), a

@@ -395,6 +395,9 @@ def test_cli_error_handling(capsys):
 
 def test_cli_suite_param_validation(capsys):
     assert main(["suite", "thm7", "--param", "n_max=abc"]) == 2
+    capsys.readouterr()
+    assert main(["suite", "thm7", "--param", "n_max"]) == 2
+    assert "malformed --param 'n_max'; expected K=V" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["modular:3", "sdp:7", "product:(modular:3)x(cyclic:2)"])
