@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ def to_jsonable(value):
                 "discrepancy_notes": list(value.discrepancy_notes),
                 "all_pass": value.all_pass,
             }
-        return {k: to_jsonable(v) for k, v in asdict(value).items()}
+        # fields, not asdict: asdict deep-copies every nested row first
+        return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -1,9 +1,15 @@
 """Verification suites and the counterexample scan harness.
 
 Every suite compares an exact expected value (a closed form or an
-independently derived count) against a brute-force value computed from
-complete lattice enumeration.  Suite output is deterministic for a given
-(suite id, params) pair: reports are byte-identical across runs.
+independently derived count) against a value computed from the complete
+lattice.  That value is a brute-force one except on coprime `product:`
+specs, whose lattices are built from their factors' (see `lattice`):
+prop1's products and cor2's product specs read such lattices, so
+multiplicativity and the Sylow factorization hold there by construction,
+and the brute-force check of those lattices is the test comparing them,
+byte for byte, with the sweep over each product's own table
+(tests/test_coprime_products.py).  Suite output is deterministic for a
+given (suite id, params) pair: reports are byte-identical across runs.
 
 Each suite is declared once, as a row of `_SUITES`: its id, its runner and
 its parameters with their defaults.  `run_suite` rejects a parameter the
@@ -61,6 +67,7 @@ from .groups import _BATCH_LIMIT, DEFAULT_MAX_ORDER, AbelianType, Group, GroupSp
 from .lattice import (
     DEFAULT_MAX_SUBGROUPS,
     Lattice,
+    _level_totients,
     _maxima,
     all_subgroups,
     complements,
@@ -190,7 +197,7 @@ def class_subgroup_closure(L: Lattice) -> list[tuple[int, bool]]:
     marks gathered at K's members and reduced with `all` say which K lie
     in which H, and their totients are added into S(H).  No gather holds
     more than _BATCH_LIMIT entries unless one row alone is wider."""
-    totients = np.split(L.totients, np.cumsum([len(level) for level in L.levels.values()])[:-1])
+    totients = _level_totients(L.levels, L.totients).values()
     n = L.group.order
     closure = []
     chunk = max(1, _BATCH_LIMIT // n)
