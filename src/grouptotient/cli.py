@@ -62,7 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--file", help="path to a Cayley-table file")
     _add_output_options(p_sum)
 
-    p_suite = sub.add_parser("suite", help="run a verification suite")
+    p_suite = sub.add_parser(
+        "suite",
+        help="run a verification suite",
+        description="Run a verification suite. prop1's products and cor2's product: specs "
+        "read lattices built from their coprime factors' lattices, so on them those checks "
+        "hold by construction; tests/test_coprime_products.py checks the default corpora "
+        "against enumeration of each product's own table.",
+    )
     p_suite.add_argument("suite_id", choices=SUITE_IDS)
     p_suite.add_argument(
         "--param",

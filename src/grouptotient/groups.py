@@ -137,9 +137,15 @@ class Group:
     Instances are immutable after construction and safe to share across
     threads; derived data (inverses, the cyclic-subgroup walk, element
     orders) is cached lazily.
+
+    `spec` given here is a label only: nothing checks it against the
+    table.  Only `construct` marks a group whose table is laid out as
+    `direct_product` of its `product:` spec's factors (`_from_factors`),
+    the one layout `all_subgroups` builds a lattice from without reading
+    the table.
     """
 
-    __slots__ = ("order", "table", "spec", "_walk", "_abelian")
+    __slots__ = ("order", "table", "spec", "_walk", "_abelian", "_from_factors")
 
     def __init__(self, table: np.ndarray, spec: GroupSpec | None = None):
         table = np.ascontiguousarray(table)
@@ -156,6 +162,7 @@ class Group:
         self.spec = spec
         self._walk = None
         self._abelian = None
+        self._from_factors = False
 
     def __repr__(self) -> str:
         tag = str(self.spec) if self.spec is not None else "table"
@@ -317,7 +324,9 @@ def construct(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Grou
         table = _metacyclic_table(n, p, t, 0)
     elif fam == "product":
         factors = [construct(part, max_order=max_order) for part in par]
-        return direct_product(factors, max_order=max_order)
+        G = direct_product(factors, max_order=max_order)
+        G._from_factors = True  # labels p*|Q| + q over construct's factors, which all_subgroups relies on
+        return G
     G = Group(table, spec=spec)
     if fam in ("cyclic", "abelian"):
         G._abelian = True  # known, so is_abelian need not compare the table with its transpose

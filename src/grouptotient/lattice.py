@@ -94,10 +94,13 @@ exactly when both of its parts do), so each level's totients are an
 outer product of the factors', and the cyclic sum is the product of the
 factors' cyclic sums.  The subgroup count is the product of the
 factors' counts, so the cap is checked before any product level is
-built.  The folds pass arrays; only the finished lattice carries G.
-Every other group, including abelian specs and tables read from files,
-is swept over its own table by `_sweep`; so is a product whose factor
-orders share a prime.
+built.  Trivial factors are dropped first, as they move no label.  The
+folds pass arrays; only the finished lattice carries G.  The branch is
+taken only for a group that `construct` built from such a spec, whose
+table is known to have direct_product's labels; every other group,
+including abelian specs, tables read from files and a `Group` given a
+`product:` spec by its caller, is swept over its own table by `_sweep`;
+so is a product whose factor orders share a prime.
 
 The lattice keeps these level matrices and the totient vector, and every
 query takes the lattice alone and reads its level rows; a Subgroup is
@@ -212,12 +215,15 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     """Enumerate the complete subgroup lattice (see module docstring)."""
     if max_subgroups < 1:
         raise InvalidParameterError(f"max_subgroups must be at least 1, got {max_subgroups}")
-    parts = G.spec.params if G.spec is not None and G.spec.family == "product" else ()
+    parts = G.spec.params if G._from_factors else ()
     if parts and math.lcm(*(part.order() for part in parts)) == G.order:
         # pairwise coprime factors: every subgroup is a product of the factors' subgroups
         factors = [all_subgroups(construct(part, max_order=G.order), max_subgroups) for part in parts]
         if math.prod(map(len, factors)) > max_subgroups:
             raise LatticeOverflowError(max_subgroups + 1, max_subgroups)
+        # a trivial factor moves no label; folded in first, it would scale Q's
+        # rows by |Q| in a dtype sized for |Q| - 1
+        factors = [L for L in factors if len(L) > 1] or factors[:1]
         levels, totients, cyclic_sum = reduce(
             _product_lattice, ((L.levels, L.totients, L.cyclic_sum) for L in factors)
         )

@@ -8,7 +8,8 @@ prop1's products and cor2's product specs read such lattices, so
 multiplicativity and the Sylow factorization hold there by construction,
 and the brute-force check of those lattices is the test comparing them,
 byte for byte, with the sweep over each product's own table
-(tests/test_coprime_products.py).  Suite output is deterministic for a
+(tests/test_coprime_products.py), on the default corpora only: pairs or
+a corpus given to `run_suite` are not checked that way.  Suite output is deterministic for a
 given (suite id, params) pair: reports are byte-identical across runs.
 
 Each suite is declared once, as a row of `_SUITES`: its id, its runner and

@@ -8,9 +8,10 @@ checked against brute-force enumeration."""
 import pytest
 
 import grouptotient.lattice as lattice_mod
-from grouptotient import LatticeOverflowError, all_subgroups, construct
+from grouptotient import Group, LatticeOverflowError, all_subgroups, construct, gauss_sum
 from grouptotient.lattice import DEFAULT_MAX_SUBGROUPS, _sweep
 from grouptotient.verify import COR2_CORPUS_DEFAULT, PROP1_PAIRS_DEFAULT
+from naive_oracles import relabel
 
 COPRIME_PRODUCTS = sorted(
     {f"product:({left})x({right})" for left, right in PROP1_PAIRS_DEFAULT}
@@ -21,6 +22,9 @@ COPRIME_PRODUCTS = sorted(
     "product:(cyclic:255)x(cyclic:2)",  # uint8 factors, uint16 product
     "product:(cyclic:1)x(dihedral:5)",
     "product:(quaternion:8)x(cyclic:1)x(cyclic:3)",
+    "product:(cyclic:1)x(cyclic:256)",  # |Q| = 256 does not fit the uint8 labels
+    "product:(cyclic:1)x(dihedral:128)",
+    "product:(cyclic:1)x(cyclic:1)",
 ]
 
 
@@ -62,6 +66,20 @@ def test_products_of_orders_with_a_common_factor_take_the_sweep(spec, monkeypatc
     swept = _swept_groups(monkeypatch)
     all_subgroups(G)
     assert swept == [G]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_a_product_spec_given_to_group_takes_the_sweep(seed, monkeypatch):
+    """Only construct vouches for direct_product's labels: a caller's table
+    under a product spec, as construct laid it out or relabelled, is swept."""
+    built = construct("product:(dihedral:3)x(cyclic:5)")
+    H = Group(built.table if seed is None else relabel(built.table, seed), spec=built.spec)
+    swept = _swept_groups(monkeypatch)
+    L = all_subgroups(H)
+    assert swept == [H]
+    monkeypatch.undo()
+    expected = all_subgroups(built)
+    assert len(L) == len(expected) and gauss_sum(L) == gauss_sum(expected)
 
 
 def test_an_over_cap_product_is_refused_before_any_level_is_built(monkeypatch):
