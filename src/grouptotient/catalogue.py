@@ -222,6 +222,11 @@ def _cayley_graph_table(right, parent, via, depth) -> np.ndarray:
     return table
 
 
+def is_generators_file(path) -> bool:
+    """Whether a file is read as permutation generators, by its suffix."""
+    return str(path).endswith(GENERATORS_SUFFIX)
+
+
 def load_catalogue(directory, max_order: int = DEFAULT_MAX_ORDER) -> list[CatalogueEntry]:
     """Ingest every recognized file in a directory, ordered by id.  A file
     whose group exceeds `max_order` becomes an entry without a group, its
@@ -232,10 +237,10 @@ def load_catalogue(directory, max_order: int = DEFAULT_MAX_ORDER) -> list[Catalo
     seen: set[str] = set()
     for name in sorted(os.listdir(directory)):
         path = directory / name
-        if name.endswith(CAYLEY_SUFFIX):
-            read = read_cayley_table
-        elif name.endswith(GENERATORS_SUFFIX):
+        if is_generators_file(name):
             read = read_permutation_generators
+        elif name.endswith(CAYLEY_SUFFIX):
+            read = read_cayley_table
         else:
             continue
         stem = path.stem

@@ -19,7 +19,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .catalogue import load_catalogue, read_cayley_table
+from .catalogue import is_generators_file, load_catalogue, read_cayley_table, read_permutation_generators
 from .errors import GroupError
 from .groups import DEFAULT_MAX_ORDER, construct
 from .reports import canonical_json, to_csv, write_report
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum = sub.add_parser("summarize", help="summarize one group")
     source = p_sum.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec", help="group spec string, e.g. dihedral:6")
-    source.add_argument("--file", help="path to a Cayley-table file")
+    source.add_argument("--file", help="path to a .gens generator file, or else a Cayley-table file")
     _add_output_options(p_sum)
 
     p_suite = sub.add_parser(
@@ -149,7 +149,8 @@ def _dispatch(args) -> int:
             group = construct(args.spec, max_order=args.max_order)
             summary_id = str(group.spec)
         else:
-            group = read_cayley_table(args.file, max_order=args.max_order)
+            read = read_permutation_generators if is_generators_file(args.file) else read_cayley_table
+            group = read(args.file, max_order=args.max_order)
             summary_id = Path(args.file).stem
         _emit(summarize(group, **caps), args, summary_id=summary_id)
         return 0

@@ -139,13 +139,13 @@ class Group:
     orders) is cached lazily.
 
     `spec` given here is a label only: nothing checks it against the
-    table.  Only `construct` marks a group whose table is laid out as
-    `direct_product` of its `product:` spec's factors (`_from_factors`),
-    the one layout `all_subgroups` builds a lattice from without reading
-    the table.
+    table.  A group's factors (`_factors`) are recorded only by
+    `direct_product`, which writes their layout, and only when their
+    orders are pairwise coprime; `all_subgroups` builds the lattice of
+    such a group from its factors' lattices without reading its table.
     """
 
-    __slots__ = ("order", "table", "spec", "_walk", "_abelian", "_from_factors")
+    __slots__ = ("order", "table", "spec", "_walk", "_abelian", "_factors")
 
     def __init__(self, table: np.ndarray, spec: GroupSpec | None = None):
         table = np.ascontiguousarray(table)
@@ -162,7 +162,7 @@ class Group:
         self.spec = spec
         self._walk = None
         self._abelian = None
-        self._from_factors = False
+        self._factors = ()
 
     def __repr__(self) -> str:
         tag = str(self.spec) if self.spec is not None else "table"
@@ -323,10 +323,7 @@ def construct(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Grou
             raise InvalidParameterError(f"{spec}: t = 1 (mod n) gives a direct product")
         table = _metacyclic_table(n, p, t, 0)
     elif fam == "product":
-        factors = [construct(part, max_order=max_order) for part in par]
-        G = direct_product(factors, max_order=max_order)
-        G._from_factors = True  # labels p*|Q| + q over construct's factors, which all_subgroups relies on
-        return G
+        return direct_product([construct(part, max_order=max_order) for part in par], max_order=max_order)
     G = Group(table, spec=spec)
     if fam in ("cyclic", "abelian"):
         G._abelian = True  # known, so is_abelian need not compare the table with its transpose
@@ -337,7 +334,8 @@ def direct_product(factors: list[Group], max_order: int = DEFAULT_MAX_ORDER) -> 
     """Componentwise product over tuples in lexicographic order.
 
     The identity tuple (0, ..., 0) gets index 0, so the convention that
-    index 0 is the identity is preserved.
+    index 0 is the identity is preserved.  Factors of pairwise coprime
+    orders are recorded, for `all_subgroups` to fold their lattices.
     """
     if not factors:
         raise InvalidParameterError("direct product needs at least one factor")
@@ -348,7 +346,10 @@ def direct_product(factors: list[Group], max_order: int = DEFAULT_MAX_ORDER) -> 
     spec = None
     if all(g.spec is not None for g in factors):
         spec = GroupSpec("product", tuple(g.spec for g in factors))
-    return Group(table, spec=spec)
+    G = Group(table, spec=spec)
+    if math.lcm(*(g.order for g in factors)) == order:
+        G._factors = tuple(factors)
+    return G
 
 
 def _cyclic_table(n: int) -> np.ndarray:

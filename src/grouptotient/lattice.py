@@ -77,8 +77,8 @@ cyclic subgroups (those whose exponent is their order), so
 subgroup.  The rank-8 elementary abelian group (417199 subgroups) takes
 0.5-0.65 s, totients included, on a 2-vCPU Xeon host.
 
-A group built from a `product:` spec whose factor orders are pairwise
-coprime is not swept.  By Goursat's lemma every subgroup of P x Q with
+A direct product of factors whose orders are pairwise coprime is not
+swept.  By Goursat's lemma every subgroup of P x Q with
 gcd(|P|, |Q|) = 1 is R x S for subgroups R of P and S of Q, and an order
 m splits one way only, as r*s with r dividing |P| and s dividing |Q|.
 So each factor is enumerated on its own (recursively, a nested coprime
@@ -95,12 +95,12 @@ outer product of the factors', and the cyclic sum is the product of the
 factors' cyclic sums.  The subgroup count is the product of the
 factors' counts, so the cap is checked before any product level is
 built.  Trivial factors are dropped first, as they move no label.  The
-folds pass arrays; only the finished lattice carries G.  The branch is
-taken only for a group that `construct` built from such a spec, whose
-table is known to have direct_product's labels; every other group,
-including abelian specs, tables read from files and a `Group` given a
-`product:` spec by its caller, is swept over its own table by `_sweep`;
-so is a product whose factor orders share a prime.
+folds pass arrays; only the finished lattice carries G.  The factors are
+the very groups `direct_product` recorded (`Group._factors`), for
+pairwise coprime orders only, as it wrote G's table, so none is built
+again.  Every other group, including abelian specs, tables read from
+files, a `Group` given a `product:` spec by its caller and a product
+whose factor orders share a prime, is swept over its own table.
 
 The lattice keeps these level matrices and the totient vector, and every
 query takes the lattice alone and reads its level rows; a Subgroup is
@@ -128,7 +128,7 @@ from .errors import (
     NotNormalError,
     NotPrimePowerError,
 )
-from .groups import _BATCH_LIMIT, Group, _index_dtype, construct
+from .groups import _BATCH_LIMIT, Group, _index_dtype
 from .numtheory import factorize, integer_log, is_prime, prime_power, valuation
 
 DEFAULT_MAX_SUBGROUPS = 200000
@@ -215,10 +215,9 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
     """Enumerate the complete subgroup lattice (see module docstring)."""
     if max_subgroups < 1:
         raise InvalidParameterError(f"max_subgroups must be at least 1, got {max_subgroups}")
-    parts = G.spec.params if G._from_factors else ()
-    if parts and math.lcm(*(part.order() for part in parts)) == G.order:
+    if G._factors:
         # pairwise coprime factors: every subgroup is a product of the factors' subgroups
-        factors = [all_subgroups(construct(part, max_order=G.order), max_subgroups) for part in parts]
+        factors = [all_subgroups(F, max_subgroups) for F in G._factors]
         if math.prod(map(len, factors)) > max_subgroups:
             raise LatticeOverflowError(max_subgroups + 1, max_subgroups)
         # a trivial factor moves no label; folded in first, it would scale Q's
@@ -520,10 +519,7 @@ def is_nilpotent(L: Lattice) -> bool:
 
 def sylow_subgroups(L: Lattice) -> dict[int, list[Subgroup]]:
     """Sylow p-subgroups found in the lattice, keyed by prime."""
-    out: dict[int, list[Subgroup]] = {}
-    for p, k in factorize(L.group.order).items():
-        out[p] = L.of_order(p**k)
-    return out
+    return {p: L.of_order(p**k) for p, k in factorize(L.group.order).items()}
 
 
 def large_abelian_subgroup_witness(L: Lattice) -> tuple[int, int] | None:

@@ -64,8 +64,8 @@ def subgroup_is_cyclic(H: Subgroup) -> bool:
 
 def abelian_p_group_totient(parts) -> int:
     """Totient of an abelian p-group of type (p^a1 <= ... <= p^ar):
-    |G| * (1 - p^-(r-s+1)) where s is the first position attaining the
-    maximal exponent."""
+    |G| * (1 - p^-c) where c counts the parts attaining the maximal
+    exponent."""
     parts = tuple(sorted(parts))
     if not parts:
         raise InvalidParameterError("abelian type needs at least one part")
@@ -73,11 +73,8 @@ def abelian_p_group_totient(parts) -> int:
     if 0 in primes or len(primes) != 1:
         raise MixedPrimesError(f"parts {parts} are not powers of a single prime")
     (p,) = primes
-    r = len(parts)
-    top = parts[-1]
-    s = r - parts.count(top) + 1
     order = math.prod(parts)
-    return order - order // p ** (r - s + 1)
+    return order - order // p ** parts.count(parts[-1])
 
 
 def dihedral_totient(n: int) -> int:

@@ -262,11 +262,7 @@ def abelian_type_specs(max_order: int) -> list[GroupSpec]:
 
 def _doublings(start: int, bound: int) -> list[int]:
     """start, 2 * start, 4 * start, ... up to bound."""
-    out = []
-    while start <= bound:
-        out.append(start)
-        start *= 2
-    return out
+    return list(takewhile(lambda v: v <= bound, (start << k for k in count())))
 
 
 def _cube_primes(bound: int) -> list[int]:

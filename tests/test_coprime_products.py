@@ -1,4 +1,4 @@
-"""Lattices of coprime product specs, built from their factors' lattices,
+"""Lattices of coprime direct products, built from their factors' lattices,
 against the sweep over the product's own table, byte for byte.
 
 prop1 and cor2 read these lattices, so their suite checks hold by
@@ -7,8 +7,10 @@ checked against brute-force enumeration."""
 
 import pytest
 
+import grouptotient.groups as groups_mod
 import grouptotient.lattice as lattice_mod
-from grouptotient import Group, LatticeOverflowError, all_subgroups, construct, gauss_sum
+from grouptotient import Group, LatticeOverflowError, all_subgroups, construct, direct_product, gauss_sum
+from grouptotient.catalogue import read_permutation_generators
 from grouptotient.lattice import DEFAULT_MAX_SUBGROUPS, _sweep
 from grouptotient.verify import COR2_CORPUS_DEFAULT, PROP1_PAIRS_DEFAULT
 from naive_oracles import relabel
@@ -19,6 +21,7 @@ COPRIME_PRODUCTS = sorted(
 ) + [
     "product:(cyclic:4)x(cyclic:9)x(cyclic:5)",  # three factors
     "product:(product:(cyclic:2)x(cyclic:3))x(cyclic:5)",  # nested
+    "product:(product:(cyclic:2)x(cyclic:2))x(cyclic:3)",  # nested, the inner one swept
     "product:(cyclic:255)x(cyclic:2)",  # uint8 factors, uint16 product
     "product:(cyclic:1)x(dihedral:5)",
     "product:(quaternion:8)x(cyclic:1)x(cyclic:3)",
@@ -26,6 +29,46 @@ COPRIME_PRODUCTS = sorted(
     "product:(cyclic:1)x(dihedral:128)",
     "product:(cyclic:1)x(cyclic:1)",
 ]
+
+# permutation generators, one line each, of groups read from .gens files
+GENS = {
+    "a5": (5, ["1 2 3 4 0", "1 2 0 3 4"]),
+    "a6": (6, ["1 2 0 3 4 5", "0 2 3 4 5 1"]),
+    "s3": (3, ["1 2 0", "1 0 2"]),
+}
+
+# direct products of factors with no spec, named as in `_group`
+SPECLESS_COPRIME_PRODUCTS = [
+    "a5 x cyclic:7",
+    "cyclic:7 x a5",
+    "a6 x cyclic:7",
+    "cyclic:7 x a6",
+    "relabelled dihedral:3 x cyclic:5",
+]
+
+
+def _group(name, tmp_path):
+    """A group named by its spec, by a key of GENS (read from a .gens
+    file), by "relabelled SPEC" (construct's table with its elements
+    renamed, and no spec), or by such names joined by " x " (their
+    direct_product)."""
+    if " x " in name:
+        return direct_product([_group(part, tmp_path) for part in name.split(" x ")])
+    if name in GENS:
+        degree, gens = GENS[name]
+        path = tmp_path / f"{name}.gens"
+        path.write_text(f"{degree}\n" + "\n".join(gens) + "\n")
+        return read_permutation_generators(path)
+    if name.startswith("relabelled "):
+        return Group(relabel(construct(name.removeprefix("relabelled ")).table, 1))
+    return construct(name)
+
+
+def _factor_groups(G):
+    """Every factor group reachable from G through the recorded factors."""
+    for F in G._factors:
+        yield F
+        yield from _factor_groups(F)
 
 
 def _swept_groups(monkeypatch):
@@ -41,13 +84,21 @@ def _swept_groups(monkeypatch):
     return swept
 
 
-@pytest.mark.parametrize("spec", COPRIME_PRODUCTS)
-def test_coprime_product_lattice_equals_the_sweep(spec, monkeypatch):
-    G = construct(spec)
+def _no_construct(*args, **kwargs):
+    raise AssertionError("a factor was built again")
+
+
+@pytest.mark.parametrize("spec", COPRIME_PRODUCTS + SPECLESS_COPRIME_PRODUCTS)
+def test_coprime_product_lattice_equals_the_sweep(spec, monkeypatch, tmp_path):
+    """Folded from the very factor groups the product recorded, none built
+    again, and byte for byte the sweep over the product's own table."""
+    G = _group(spec, tmp_path)
+    factors = list(_factor_groups(G))
     swept = _swept_groups(monkeypatch)
+    monkeypatch.setattr(groups_mod, "construct", _no_construct)
     built = all_subgroups(G)
     monkeypatch.undo()
-    assert swept and all(H is not G and G.order % H.order == 0 for H in swept)
+    assert swept and all(any(H is F for F in factors) for H in swept)
     expected = _sweep(G, DEFAULT_MAX_SUBGROUPS)
     assert built.group is G
     assert list(built.levels) == list(expected.levels)
@@ -60,9 +111,12 @@ def test_coprime_product_lattice_equals_the_sweep(spec, monkeypatch):
     assert type(built.cyclic_sum) is int and built.cyclic_sum == expected.cyclic_sum == G.order
 
 
-@pytest.mark.parametrize("spec", ["product:(dihedral:4)x(cyclic:2)", "product:(dihedral:15)x(cyclic:4)"])
-def test_products_of_orders_with_a_common_factor_take_the_sweep(spec, monkeypatch):
-    G = construct(spec)
+@pytest.mark.parametrize(
+    "spec", ["product:(dihedral:4)x(cyclic:2)", "product:(dihedral:15)x(cyclic:4)", "s3 x cyclic:2"]
+)
+def test_products_of_orders_with_a_common_factor_take_the_sweep(spec, monkeypatch, tmp_path):
+    G = _group(spec, tmp_path)
+    assert G._factors == ()
     swept = _swept_groups(monkeypatch)
     all_subgroups(G)
     assert swept == [G]
@@ -70,8 +124,9 @@ def test_products_of_orders_with_a_common_factor_take_the_sweep(spec, monkeypatc
 
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_a_product_spec_given_to_group_takes_the_sweep(seed, monkeypatch):
-    """Only construct vouches for direct_product's labels: a caller's table
-    under a product spec, as construct laid it out or relabelled, is swept."""
+    """Only direct_product records factors, as it writes their labels: a
+    caller's table under a product spec, as construct laid it out or
+    relabelled, has none recorded and is swept."""
     built = construct("product:(dihedral:3)x(cyclic:5)")
     H = Group(built.table if seed is None else relabel(built.table, seed), spec=built.spec)
     swept = _swept_groups(monkeypatch)

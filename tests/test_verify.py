@@ -350,6 +350,18 @@ def test_cli_summarize_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["in_class_c"] is True
 
 
+def test_cli_summarize_file_closes_a_gens_file_from_its_generators(tmp_path, capsys):
+    """A .gens file is read as generators, as `scan --catalogue` reads it,
+    and the summary's id is the file's stem."""
+    path = tmp_path / "a5.gens"
+    path.write_text("5\n1 2 3 4 0\n1 2 0 3 4\n")
+    assert main(["summarize", "--file", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["group_order"], payload["subgroup_count"]) == (60, 59)
+    assert main(["summarize", "--file", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("a5,60,0,75,59,")
+
+
 def test_cli_suite_exit_codes(capsys):
     assert main(["suite", "thm7", "--param", "n_max=8"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -427,9 +439,8 @@ def test_cli_input_that_is_not_utf8_exits_2(name, content, line, tmp_path, capsy
     expected = f"error: line {line}: byte 0xff is not valid UTF-8\n"
     assert main(["scan", "--catalogue", str(tmp_path)]) == 2
     assert capsys.readouterr().err == expected
-    if name.endswith(".cayley"):  # summarize --file reads .cayley files only
-        assert main(["summarize", "--file", str(tmp_path / name)]) == 2
-        assert capsys.readouterr().err == expected
+    assert main(["summarize", "--file", str(tmp_path / name)]) == 2
+    assert capsys.readouterr().err == expected
 
 
 def test_cli_parser_is_built_once_and_keeps_no_parsed_state(monkeypatch):
