@@ -125,8 +125,6 @@ def _parse_product_args(rest: str, full: str) -> list[GroupSpec]:
             if rest[i] != "x" or i + 1 == len(rest):
                 raise InvalidParameterError(f"expected 'x' between factors in {full!r}")
             i += 1
-    if not parts:
-        raise InvalidParameterError(f"empty product spec {full!r}")
     return parts
 
 
@@ -140,9 +138,10 @@ class Group:
 
     `spec` given here is a label only: nothing checks it against the
     table.  A group's factors (`_factors`) are recorded only by
-    `direct_product`, which writes their layout, and only when their
-    orders are pairwise coprime; `all_subgroups` builds the lattice of
-    such a group from its factors' lattices without reading its table.
+    `direct_product`, which writes their layout: those of order > 1, and
+    only when their orders are pairwise coprime; `all_subgroups` builds
+    the lattice of such a group from its factors' lattices without
+    reading its table.
     """
 
     __slots__ = ("order", "table", "spec", "_walk", "_abelian", "_factors")
@@ -334,8 +333,9 @@ def direct_product(factors: list[Group], max_order: int = DEFAULT_MAX_ORDER) -> 
     """Componentwise product over tuples in lexicographic order.
 
     The identity tuple (0, ..., 0) gets index 0, so the convention that
-    index 0 is the identity is preserved.  Factors of pairwise coprime
-    orders are recorded, for `all_subgroups` to fold their lattices.
+    index 0 is the identity is preserved.  The factors of order > 1 are
+    recorded when their orders are pairwise coprime, for `all_subgroups`
+    to fold their lattices; a trivial factor moves no label.
     """
     if not factors:
         raise InvalidParameterError("direct product needs at least one factor")
@@ -347,8 +347,9 @@ def direct_product(factors: list[Group], max_order: int = DEFAULT_MAX_ORDER) -> 
     if all(g.spec is not None for g in factors):
         spec = GroupSpec("product", tuple(g.spec for g in factors))
     G = Group(table, spec=spec)
-    if math.lcm(*(g.order for g in factors)) == order:
-        G._factors = tuple(factors)
+    nontrivial = [g for g in factors if g.order > 1]
+    if math.lcm(*(g.order for g in nontrivial)) == order:
+        G._factors = tuple(nontrivial)
     return G
 
 

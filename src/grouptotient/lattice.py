@@ -94,13 +94,13 @@ exactly when both of its parts do), so each level's totients are an
 outer product of the factors', and the cyclic sum is the product of the
 factors' cyclic sums.  The subgroup count is the product of the
 factors' counts, so the cap is checked before any product level is
-built.  Trivial factors are dropped first, as they move no label.  The
-folds pass arrays; only the finished lattice carries G.  The factors are
-the very groups `direct_product` recorded (`Group._factors`), for
-pairwise coprime orders only, as it wrote G's table, so none is built
-again.  Every other group, including abelian specs, tables read from
-files, a `Group` given a `product:` spec by its caller and a product
-whose factor orders share a prime, is swept over its own table.
+built.  The folds pass arrays; only the finished lattice carries G.  The
+factors are the very groups `direct_product` recorded (`Group._factors`),
+those of order > 1 and for pairwise coprime orders only, as it wrote G's
+table, so none is built again.  Every other group, including abelian
+specs, tables read from files, a `Group` given a `product:` spec by its
+caller and a product whose factor orders share a prime, is swept over
+its own table.
 
 The lattice keeps these level matrices and the totient vector, and every
 query takes the lattice alone and reads its level rows; a Subgroup is
@@ -220,9 +220,6 @@ def all_subgroups(G: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Latti
         factors = [all_subgroups(F, max_subgroups) for F in G._factors]
         if math.prod(map(len, factors)) > max_subgroups:
             raise LatticeOverflowError(max_subgroups + 1, max_subgroups)
-        # a trivial factor moves no label; folded in first, it would scale Q's
-        # rows by |Q| in a dtype sized for |Q| - 1
-        factors = [L for L in factors if len(L) > 1] or factors[:1]
         levels, totients, cyclic_sum = reduce(
             _product_lattice, ((L.levels, L.totients, L.cyclic_sum) for L in factors)
         )

@@ -14,23 +14,25 @@ given (suite id, params) pair: reports are byte-identical across runs.
 
 Each suite is declared once, as a row of `_SUITES`: its id, its runner and
 its parameters with their defaults.  `run_suite` rejects a parameter the
-row does not declare or not of its default's kind (a list or tuple for a
-tuple, an int but not a bool for an int), hands the runner a fresh
-`SuiteResult` and the defaults overlaid with the given parameters, and
-refuses a result with no case.  The scan families are likewise the keys
-of one table, `_SCAN_CORPORA`, that maps each to its corpus builder.
+row does not declare or not of its default's kind (a list or tuple of
+items like the default's for a tuple, an int but not a bool for an int),
+hands the runner a fresh `SuiteResult` and the defaults overlaid with the
+given parameters, and refuses a result with no case.  The scan families
+are likewise the keys of one table, `_SCAN_CORPORA`, that maps each to
+its corpus builder.
 
 Suites share one per-process lattice cache: `summarize_spec` and the
 suites reach a spec's lattice through `_cached_lattice`, which checks the
-order cap, enumerates the lattice once and keeps, keyed by (spec string,
+order cap, enumerates the lattice and keeps, keyed by (spec string,
 subgroup cap), only its level matrices, totient vector and cyclic sum,
-stored read-only.  A hit builds the group again
-from its spec (cheap and deterministic) and wraps the cached arrays.  The
-cache holds at most _LATTICE_CACHE_BYTES = 4 MiB of arrays, kept as a
-running total, evicting the least recently used; a larger lattice is
-never stored.  The nine theorem suites of the benchmark leave 0.1 MiB
-of arrays in it (149 lattices).  Scans summarize without it: each of
-their groups is seen once, so caching would only hold memory.
+stored read-only.  A hit builds the group again from its spec (cheap and
+deterministic) and wraps the cached arrays.  The cache fills once and
+never evicts: a lattice is stored only if it fits in
+_LATTICE_CACHE_BYTES = 4 MiB with the arrays already held (a running
+total), and one that does not is enumerated on every call.  The nine
+theorem suites of the benchmark leave 0.1 MiB of arrays in it (149
+lattices).  Scans summarize without it: each of their groups is seen
+once, so caching would only hold memory.
 
 A scan item is a GroupSpec, a spec string or a CatalogueEntry, whose
 report id is the spec's string or the file's stem.  A bare Group is
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import chain, count, product, repeat, takewhile
 
@@ -138,46 +139,32 @@ def summarize_spec(
     return _summary(_cached_lattice(spec_text, max_order, max_subgroups))
 
 
-class _LatticeCache(OrderedDict):
-    """(spec string, subgroup cap) -> (levels, totients, cyclic sum, bytes held),
-    least recently used first.  `held` is the running total of the entries'
-    bytes; it stays exact while entries are added and evicted only by `store`."""
-
-    held = 0
-
-    def store(self, key, entry) -> None:
-        """Add an entry of at most _LATTICE_CACHE_BYTES bytes, first evicting
-        the least recently used ones until it fits."""
-        while self.held + entry[3] > _LATTICE_CACHE_BYTES:
-            self.held -= self.popitem(last=False)[1][3]
-        self[key] = entry
-        self.held += entry[3]
-
-
-_lattices = _LatticeCache()
+# (spec string, subgroup cap) -> (levels, totients, cyclic sum), and the bytes of their arrays
+_lattices = {}
+_lattice_bytes = 0
 _LATTICE_CACHE_BYTES = 4 << 20
 
 
 def _cached_lattice(spec, max_order, max_subgroups) -> Lattice:
     """The lattice of a suite spec (text or parsed), within both caps,
-    enumerated at most once per process while it stays in the cache (see
-    module docstring)."""
+    enumerated once per process if it was stored (see module docstring)."""
+    global _lattice_bytes
     if isinstance(spec, str):
         spec = parse_spec(spec)
     _require_order(spec.order(), max_order)
     G = construct(spec, max_order=max_order)
     key = (str(G.spec), max_subgroups)
     if key in _lattices:
-        _lattices.move_to_end(key)
-        levels, totients, cyclic_sum, _ = _lattices[key]
+        levels, totients, cyclic_sum = _lattices[key]
         return Lattice(G, dict(levels), totients, cyclic_sum)
     L = all_subgroups(G, max_subgroups=max_subgroups)
     arrays = [*L.levels.values(), L.totients]
     size = sum(a.nbytes for a in arrays)
-    if size <= _LATTICE_CACHE_BYTES:
+    if _lattice_bytes + size <= _LATTICE_CACHE_BYTES:
         for a in arrays:
             a.setflags(write=False)
-        _lattices.store(key, (dict(L.levels), L.totients, L.cyclic_sum, size))
+        _lattices[key] = (dict(L.levels), L.totients, L.cyclic_sum)
+        _lattice_bytes += size
     return L
 
 
@@ -590,6 +577,16 @@ _SUITES = {
 SUITE_IDS = tuple(_SUITES)
 
 
+def _item_matches(item, like) -> bool:
+    """Whether a list parameter's item is of the kind of its default's item
+    `like`: a spec for a string, an int but not a bool for an int, and for
+    a pair a list or tuple of as many items, each matching."""
+    if isinstance(like, tuple):
+        pair = isinstance(item, (list, tuple)) and len(item) == len(like)
+        return pair and all(map(_item_matches, item, like))
+    return isinstance(item, (str, GroupSpec) if isinstance(like, str) else int) and not isinstance(item, bool)
+
+
 def run_suite(
     suite_id: str,
     params: dict | None = None,
@@ -612,6 +609,10 @@ def run_suite(
         if isinstance(value, bool) or not isinstance(value, (list, tuple) if listed else int):
             kind = "a list or tuple" if listed else "an int"
             raise InvalidParameterError(f"suite {suite_id} parameter {key!r} must be {kind}, got {value!r}")
+        for index, item in enumerate(value if listed else ()):
+            if not _item_matches(item, defaults[key][0]):
+                like = f"like {defaults[key][0]!r}, got {item!r}"
+                raise InvalidParameterError(f"suite {suite_id} parameter {key!r} item {index} must be {like}")
     result = SuiteResult(suite_id=suite_id)
     runner(result, {**defaults, **params}, max_order, max_subgroups)
     if not result.cases:

@@ -27,7 +27,6 @@ COPRIME_PRODUCTS = sorted(
     "product:(quaternion:8)x(cyclic:1)x(cyclic:3)",
     "product:(cyclic:1)x(cyclic:256)",  # |Q| = 256 does not fit the uint8 labels
     "product:(cyclic:1)x(dihedral:128)",
-    "product:(cyclic:1)x(cyclic:1)",
 ]
 
 # permutation generators, one line each, of groups read from .gens files
@@ -90,10 +89,12 @@ def _no_construct(*args, **kwargs):
 
 @pytest.mark.parametrize("spec", COPRIME_PRODUCTS + SPECLESS_COPRIME_PRODUCTS)
 def test_coprime_product_lattice_equals_the_sweep(spec, monkeypatch, tmp_path):
-    """Folded from the very factor groups the product recorded, none built
-    again, and byte for byte the sweep over the product's own table."""
+    """Folded from the very factor groups the product recorded, none of
+    them trivial nor built again, and byte for byte the sweep over the
+    product's own table."""
     G = _group(spec, tmp_path)
     factors = list(_factor_groups(G))
+    assert all(F.order > 1 for F in factors)
     swept = _swept_groups(monkeypatch)
     monkeypatch.setattr(groups_mod, "construct", _no_construct)
     built = all_subgroups(G)
@@ -112,7 +113,13 @@ def test_coprime_product_lattice_equals_the_sweep(spec, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec", ["product:(dihedral:4)x(cyclic:2)", "product:(dihedral:15)x(cyclic:4)", "s3 x cyclic:2"]
+    "spec",
+    [
+        "product:(dihedral:4)x(cyclic:2)",
+        "product:(dihedral:15)x(cyclic:4)",
+        "s3 x cyclic:2",
+        "product:(cyclic:1)x(cyclic:1)",  # no factor of order > 1 to fold
+    ],
 )
 def test_products_of_orders_with_a_common_factor_take_the_sweep(spec, monkeypatch, tmp_path):
     G = _group(spec, tmp_path)

@@ -448,6 +448,9 @@ def test_order_cap_enforced():
         "modular:3",  # too few parameters: the count is checked before the order is read
         "sdp:7",
         "product:(modular:3)x(cyclic:2)",
+        "sdp:0,3,1",  # n < 1
+        GroupSpec("abelian", ()),  # parse_spec gives no empty type; a caller's spec may
+        GroupSpec("nope", (1,)),  # unknown family: refused when its order is read
     ],
 )
 def test_invalid_parameters_rejected(bad):
@@ -481,6 +484,7 @@ def test_nested_product_spec():
         "product:",
         "product:(cyclic:2)x",
         "product:(cyclic:2)x(cyclic:3)x",
+        "product:x(cyclic:2)",
     ],
 )
 def test_malformed_specs_rejected(bad):

@@ -13,6 +13,7 @@ from grouptotient import (
     dihedral_gauss_sum,
     dihedral_totient,
     euler_phi,
+    factorize,
     fixed_point_free_decomposition,
     gauss_sum,
     group_totient,
@@ -137,9 +138,26 @@ def test_two_group_gauss_sum_domain():
     with pytest.raises(InvalidParameterError):
         two_group_gauss_sum("D", 2)
     with pytest.raises(InvalidParameterError):
+        two_group_gauss_sum("Q", 2)
+    with pytest.raises(InvalidParameterError):
         two_group_gauss_sum("SD", 3)
     with pytest.raises(InvalidParameterError):
         two_group_gauss_sum("X", 4)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: dihedral_totient(0), InvalidParameterError),
+        (lambda: dihedral_gauss_sum(1), InvalidParameterError),
+        (lambda: abelian_p_group_totient(()), InvalidParameterError),
+        (lambda: factorize(0), ValueError),
+        (lambda: euler_phi(0), ValueError),
+    ],
+)
+def test_closed_forms_refuse_arguments_outside_their_domain(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_semidirect_gauss_sum():
@@ -149,6 +167,8 @@ def test_semidirect_gauss_sum():
         assert semidirect_gauss_sum(n, p, n) == n * p
     with pytest.raises(InvalidParameterError):
         semidirect_gauss_sum(6, 2, 6)  # gcd(n, p) != 1
+    with pytest.raises(InvalidParameterError):
+        semidirect_gauss_sum(5, 2, 0)  # no complement
 
 
 def test_dihedral_gauss_sum_exact_rational_arithmetic():

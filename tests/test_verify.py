@@ -41,6 +41,7 @@ from grouptotient.verify import (
     _SUITES,
     abelian_type_specs,
     family_specs,
+    order_p_element_mod,
     subgroup_gauss_sum_from_lattice,
 )
 from naive_oracles import as_group, naive_is_normal, naive_order
@@ -186,6 +187,39 @@ def test_integer_parameter_given_as_a_non_integer_is_rejected(suite_id, key, val
 
 
 @pytest.mark.parametrize(
+    "suite_id, key, value",
+    [
+        ("thm4", "corpus", [5]),
+        ("cor2", "corpus", [("cyclic:4",)]),
+        ("closing_equality", "corpus", [None]),
+        ("prop1", "pairs", [["cyclic:4"]]),
+        ("thm5", "modular", [[2, 4, 5]]),
+        ("thm8", "pairs", [(2, "x")]),
+        ("example_pq", "pairs", [3]),
+    ],
+)
+def test_list_parameter_item_of_the_wrong_kind_is_rejected(suite_id, key, value):
+    """An item unlike its default's items fails naming the suite, the key
+    and the index, instead of an untyped error inside the suite."""
+    with pytest.raises(InvalidParameterError, match=f"suite {suite_id} parameter '{key}' item 0 must be"):
+        run_suite(suite_id, {key: value})
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: family_specs("bogus", 10), "unknown scan family"),
+        (lambda: verify_classical_gauss(0), "limit must be >= 1"),
+        (lambda: run_suite("thm4", {"corpus": ["cyclic:8"]}), "order p\\^n, n >= 4"),
+        (lambda: run_suite("prop1", {"pairs": [("cyclic:2", "cyclic:4")]}), "non-coprime orders"),
+    ],
+)
+def test_inputs_outside_a_domain_are_refused(call, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
     "suite_id, params",
     [("thm7", {"n_max": -3}), ("thm7", {"n_max": True}), ("thm3", {"max_order": 0}), ("remark_d2n", {"n_max": 1})],
 )
@@ -227,6 +261,9 @@ def test_range_too_large():
         run_suite("prop1", {"pairs": [["cyclic:4", "cyclic:9"]]}, max_order=20)
     with pytest.raises(RangeTooLargeError):
         summarize_spec("cyclic:30", max_order=20)
+    # cor2's own bound on its corpus
+    with pytest.raises(RangeTooLargeError, match="exceeds suite bound 10"):
+        run_suite("cor2", {"max_order": 10})
 
 
 @pytest.mark.parametrize("suite", ["example_pq", "thm8"])
@@ -247,8 +284,12 @@ def test_pq_group_spec():
     spec = pq_group_spec(3, 7)
     assert spec.order() == 21
     assert str(spec) == "sdp:7,3,2"
-    with pytest.raises(Exception):
-        pq_group_spec(3, 5)  # 3 does not divide 4
+    with pytest.raises(InvalidParameterError, match="3 does not divide 5 - 1"):
+        pq_group_spec(3, 5)
+    with pytest.raises(InvalidParameterError, match="need primes p < q"):
+        pq_group_spec(3, 2)
+    with pytest.raises(InvalidParameterError, match="no element of order 7 modulo 15"):
+        order_p_element_mod(7, 15)  # 7 divides 14, but 15 is not prime
 
 
 def test_scan_abelian_members_are_exactly_cyclic():
@@ -461,7 +502,8 @@ def _fresh_lattice_cache(monkeypatch):
     lattice verify enumerates from now on."""
     import grouptotient.verify as verify_mod
 
-    monkeypatch.setattr(verify_mod, "_lattices", verify_mod._LatticeCache())
+    monkeypatch.setattr(verify_mod, "_lattices", {})
+    monkeypatch.setattr(verify_mod, "_lattice_bytes", 0)
     enumerate_, calls = verify_mod.all_subgroups, []
 
     def counting(G, **caps):
@@ -496,11 +538,17 @@ def test_suite_lattices_are_enumerated_once_per_spec(monkeypatch):
     assert len(calls) == 2
 
 
-def test_lattice_cache_evicts_the_least_recently_used(monkeypatch):
+def test_lattice_cache_stores_what_fits_and_never_evicts(monkeypatch):
     verify_mod, calls = _fresh_lattice_cache(monkeypatch)
 
     def lattice(text):
         return verify_mod._cached_lattice(text, DEFAULT_MAX_ORDER, SUITE_MAX_SUBGROUPS)
+
+    def held():
+        """The bytes held, checked against the arrays stored and the budget."""
+        stored = [a for levels, totients, _ in verify_mod._lattices.values() for a in [*levels.values(), totients]]
+        assert verify_mod._lattice_bytes == sum(a.nbytes for a in stored) <= verify_mod._LATTICE_CACHE_BYTES
+        return verify_mod._lattice_bytes
 
     size = {
         text: sum(a.nbytes for a in [*L.levels.values(), L.totients])
@@ -508,22 +556,21 @@ def test_lattice_cache_evicts_the_least_recently_used(monkeypatch):
         for L in [all_subgroups(construct(text), max_subgroups=SUITE_MAX_SUBGROUPS)]
     }
     assert len(set(size.values())) == 3
-    # room for the two largest lattices, not for all three
+    # room for any two of the lattices, not for all three
     monkeypatch.setattr(verify_mod, "_LATTICE_CACHE_BYTES", sum(size.values()) - min(size.values()))
-    for text in ("dihedral:6", "dihedral:10", "dihedral:6", "quaternion:16", "dihedral:6", "dihedral:10"):
+    for text in ("dihedral:6", "dihedral:10", "quaternion:16", "dihedral:6", "quaternion:16", "dihedral:10"):
         lattice(text)
-    # quaternion:16 evicted dihedral:10, the least recently used, then dihedral:10
-    # evicted quaternion:16; dihedral:6 stayed
-    assert calls == ["dihedral:6", "dihedral:10", "quaternion:16", "dihedral:10"]
-    held = verify_mod._lattices.held
-    assert held == sum(entry[3] for entry in verify_mod._lattices.values()) <= verify_mod._LATTICE_CACHE_BYTES
-    assert held == size["dihedral:6"] + size["dihedral:10"]
-    # a lattice over the bound is never stored
+        held()
+    # quaternion:16 no longer fits, so it is enumerated on each call, and
+    # the lattices stored before it still hit
+    assert calls == ["dihedral:6", "dihedral:10", "quaternion:16", "quaternion:16"]
+    assert held() == size["dihedral:6"] + size["dihedral:10"]
+    # a lattice over the whole budget is never stored
+    verify_mod, calls = _fresh_lattice_cache(monkeypatch)
     monkeypatch.setattr(verify_mod, "_LATTICE_CACHE_BYTES", min(size.values()) - 1)
-    monkeypatch.setattr(verify_mod, "_lattices", verify_mod._LatticeCache())
-    lattice("quaternion:16")
-    lattice("quaternion:16")
-    assert calls[-2:] == ["quaternion:16"] * 2 and not verify_mod._lattices
+    lattice("dihedral:6")
+    lattice("dihedral:6")
+    assert calls == ["dihedral:6"] * 2 and not verify_mod._lattices and held() == 0
 
 
 def test_family_scan_skips_an_over_cap_spec():
