@@ -29,7 +29,6 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_MAX_ORDER,
-    AbelianType,
     Group,
     GroupSpec,
     construct,

@@ -33,8 +33,9 @@ DEFAULT_MAX_ORDER = 20000
 # one member at a time), a block of table rows built, or is_abelian's square tile
 _BATCH_LIMIT = 1 << 18
 
-# family -> (its number of parameters, the group order they give); abelian
-# and product take any number and are read by GroupSpec.order itself
+# family -> (its number of int parameters, the group order they give);
+# abelian (prime-power ints) and product (GroupSpecs) take one or more,
+# which GroupSpec checks and reads itself
 _ORDERS = {
     "cyclic": (1, lambda n: n),
     "dihedral": (1, lambda n: 2 * n),
@@ -60,11 +61,35 @@ class GroupSpec:
 
     Products nest: ``GroupSpec("product", (spec1, spec2))``.  The string
     form (see :func:`parse_spec`) doubles as the canonical group id in
-    reports.
+    reports.  A spec is checked when it is built: an unknown family, a
+    wrong number of parameters (or none), a parameter that is not an int
+    (a bool is not; a product's parts must be GroupSpecs) or an abelian
+    part that is not a prime power raises InvalidParameterError.  Abelian
+    parts are stored in ascending order, so one type has one spec.
+    Whether the parameters name a group (dihedral n >= 2, sdp's
+    t**p = 1 mod n, ...) is checked by `construct`.
     """
 
     family: str
     params: tuple
+
+    def __post_init__(self):
+        fam, par = self.family, self.params
+        if type(fam) is not str or type(par) is not tuple:
+            raise InvalidParameterError(f"a spec is a family name and a parameter tuple, got {fam!r}, {par!r}")
+        if fam in _ORDERS:
+            if len(par) != _ORDERS[fam][0]:
+                raise InvalidParameterError(f"{self}: expected {_ORDERS[fam][0]} parameter(s)")
+        elif fam != "abelian" and fam != "product":
+            raise InvalidParameterError(f"unknown group family {fam!r} in {str(self)!r}")
+        kind = GroupSpec if fam == "product" else int
+        if set(map(type, par)) != {kind}:  # the empty set too: abelian and product need a part
+            raise InvalidParameterError(f"{self}: parameters must be one or more {kind.__name__}s, got {par!r}")
+        if fam == "abelian":
+            for part in par:
+                if prime_power(part) is None:
+                    raise InvalidParameterError(f"abelian type part {part} is not a prime power > 1")
+            object.__setattr__(self, "params", tuple(sorted(par)))
 
     def __str__(self) -> str:
         if self.family == "product":
@@ -72,19 +97,13 @@ class GroupSpec:
         return f"{self.family}:" + ",".join(str(p) for p in self.params)
 
     def order(self) -> int:
-        """Order of the group this spec builds, computed without building it,
-        after checking that the spec has as many parameters as its family."""
+        """Order of the group this spec builds, computed without building it."""
         fam, par = self.family, self.params
         if fam == "abelian":
             return math.prod(par)
         if fam == "product":
             return math.prod(part.order() for part in par)
-        if fam not in _ORDERS:
-            raise InvalidParameterError(f"unknown family {fam!r}")
-        count, order = _ORDERS[fam]
-        if len(par) != count:
-            raise InvalidParameterError(f"{self}: expected {count} parameter(s)")
-        return order(*par)
+        return _ORDERS[fam][1](*par)
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -96,14 +115,10 @@ def parse_spec(text: str) -> GroupSpec:
         raise InvalidParameterError(f"malformed group spec {text!r}")
     if name == "product":
         return GroupSpec("product", tuple(_parse_product_args(rest, text)))
-    if name != "abelian" and name not in _ORDERS:
-        raise InvalidParameterError(f"unknown group family {name!r} in {text!r}")
     try:
         params = tuple(int(tok) for tok in rest.split(","))
     except ValueError:
         raise InvalidParameterError(f"non-integer parameter in {text!r}") from None
-    if name == "abelian":
-        params = tuple(sorted(params))
     return GroupSpec(name, params)
 
 
@@ -236,24 +251,6 @@ def _least_generators(table: np.ndarray) -> tuple[dict[int, list[int]], np.ndarr
     return out, orders, inverse
 
 
-@dataclass(frozen=True)
-class AbelianType:
-    """Multiset of prime powers from the primary decomposition of an abelian group."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        for part in self.parts:
-            if prime_power(part) is None:
-                raise InvalidParameterError(f"abelian type part {part} is not a prime power > 1")
-        object.__setattr__(self, "parts", tuple(sorted(self.parts)))
-
-    def max_rank(self) -> int:
-        """The largest number of parts that are powers of one prime."""
-        primes = [prime_power(part)[0] for part in self.parts]
-        return max(map(primes.count, primes), default=0)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -269,11 +266,7 @@ def construct(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Grou
     if fam == "cyclic":
         table = _cyclic_table(par[0])
     elif fam == "abelian":
-        if not par:
-            raise InvalidParameterError(f"{spec}: abelian type needs at least one part")
-        atype = AbelianType(par)
-        table = reduce(_product_table, [_cyclic_table(q) for q in atype.parts])
-        spec = GroupSpec("abelian", atype.parts)
+        table = reduce(_product_table, [_cyclic_table(q) for q in par])
     elif fam == "dihedral":
         (n,) = par
         if n < 2:

@@ -36,8 +36,8 @@ def factorize(n: int) -> dict[int, int]:
 
 def euler_phi(n: int) -> int:
     """Classical totient: count of 1 <= k <= n coprime to n."""
-    if n < 1:
-        raise ValueError(f"totient undefined for {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"totient undefined for {n!r}")
     result = n
     for p in factorize(n):
         result -= result // p
@@ -45,7 +45,9 @@ def euler_phi(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+    """All positive divisors of n >= 1, ascending."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"divisors undefined for {n!r}")
     small, large = [], []
     d = 1
     while d * d <= n:

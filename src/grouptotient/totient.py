@@ -66,9 +66,10 @@ def abelian_p_group_totient(parts) -> int:
     """Totient of an abelian p-group of type (p^a1 <= ... <= p^ar):
     |G| * (1 - p^-c) where c counts the parts attaining the maximal
     exponent."""
+    parts = tuple(parts)
+    if set(map(type, parts)) != {int}:
+        raise InvalidParameterError(f"abelian type needs one or more int parts, got {parts!r}")
     parts = tuple(sorted(parts))
-    if not parts:
-        raise InvalidParameterError("abelian type needs at least one part")
     primes = {prime_power(q)[0] if prime_power(q) else 0 for q in parts}
     if 0 in primes or len(primes) != 1:
         raise MixedPrimesError(f"parts {parts} are not powers of a single prime")
@@ -86,8 +87,8 @@ def dihedral_totient(n: int) -> int:
     and with the explicit order-12 Gauss sum it is used to derive; the
     direct count of 3 is used.
     """
-    if n < 1:
-        raise InvalidParameterError(f"dihedral parameter must be >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise InvalidParameterError(f"dihedral parameter must be an int >= 1, got {n!r}")
     if n == 1:
         return 1
     if n == 2:
@@ -100,8 +101,8 @@ def dihedral_gauss_sum(n: int) -> int:
     3n + (k*n/2) * prod(a_i + 1 - a_i/p_i) over the odd part m = prod p_i^a_i
     of n = 2^k * m, evaluated in integers: each factor is
     ((a_i + 1)*p_i - a_i)/p_i, and prod p_i divides n/2."""
-    if n < 2:
-        raise InvalidParameterError(f"dihedral parameter must be >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        raise InvalidParameterError(f"dihedral parameter must be an int >= 2, got {n!r}")
     k = valuation(n, 2)
     if k == 0:
         return 2 * n
@@ -121,29 +122,26 @@ def two_group_gauss_sum(family: str, n: int) -> int:
     the brute-force values there even though the derivation assumes
     n >= 4.
     """
+    if family not in ("D", "Q", "SD"):
+        raise InvalidParameterError(f"unknown two-group family {family!r}; expected D, Q, or SD")
+    least = 4 if family == "SD" else 3
+    if type(n) is not int or n < least:
+        raise InvalidParameterError(f"{family} requires an int n >= {least}, got {n!r}")
     if family == "D":
-        if n < 3:
-            raise InvalidParameterError("D requires n >= 3")
         return 2 ** (n + 1) + (n - 3) * 2 ** (n - 2)
     if family == "Q":
-        if n < 3:
-            raise InvalidParameterError("Q requires n >= 3")
         return (n + 4) * 2 ** (n - 2)
-    if family == "SD":
-        if n < 4:
-            raise InvalidParameterError("SD requires n >= 4")
-        return (2 * n + 9) * 2 ** (n - 3)
-    raise InvalidParameterError(f"unknown two-group family {family!r}; expected D, Q, or SD")
+    return (2 * n + 9) * 2 ** (n - 3)
 
 
 def semidirect_gauss_sum(n: int, p: int, complement_count: int) -> int:
     """Gauss sum n + n_p * (p - 1) of a semidirect product of a cyclic
     normal Hall subgroup of order n by a fixed-point-free prime-order
     complement, where n_p counts the complements."""
-    if n < 1 or not is_prime(p) or math.gcd(n, p) != 1:
-        raise InvalidParameterError(f"need n >= 1, p prime, gcd(n, p) = 1; got n={n}, p={p}")
-    if complement_count < 1:
-        raise InvalidParameterError("complement count must be positive")
+    if type(n) is not int or type(p) is not int or n < 1 or not is_prime(p) or math.gcd(n, p) != 1:
+        raise InvalidParameterError(f"need ints n >= 1, p prime, gcd(n, p) = 1; got n={n!r}, p={p!r}")
+    if type(complement_count) is not int or complement_count < 1:
+        raise InvalidParameterError(f"complement count must be an int >= 1, got {complement_count!r}")
     return n + complement_count * (p - 1)
 
 

@@ -31,8 +31,8 @@ never evicts: a lattice is stored only if it fits in
 _LATTICE_CACHE_BYTES = 4 MiB with the arrays already held (a running
 total), and one that does not is enumerated on every call.  The nine
 theorem suites of the benchmark leave 0.1 MiB of arrays in it (149
-lattices).  Scans summarize without it: each of their groups is seen
-once, so caching would only hold memory.
+lattices).  Scans and thm3 summarize without it: each of their groups
+is seen once, so caching would only hold memory.
 
 A scan item is a GroupSpec, a spec string or a CatalogueEntry, whose
 report id is the spec's string or the file's stem.  A bare Group is
@@ -65,7 +65,7 @@ from .errors import (
     RangeTooLargeError,
     UnknownSuiteError,
 )
-from .groups import _BATCH_LIMIT, DEFAULT_MAX_ORDER, AbelianType, Group, GroupSpec, construct, parse_spec
+from .groups import _BATCH_LIMIT, DEFAULT_MAX_ORDER, Group, GroupSpec, construct, parse_spec
 from .lattice import (
     DEFAULT_MAX_SUBGROUPS,
     Lattice,
@@ -243,7 +243,7 @@ def abelian_type_specs(max_order: int) -> list[GroupSpec]:
             for p, e in sorted(factorize(n).items())
         ]
         for chosen in product(*per_prime):
-            specs.append(GroupSpec("abelian", tuple(sorted(chain.from_iterable(chosen)))))
+            specs.append(GroupSpec("abelian", tuple(chain.from_iterable(chosen))))
     return specs
 
 
@@ -293,13 +293,16 @@ def family_specs(family: str, max_order: int) -> list[GroupSpec]:
     """Built-in family corpora bounded by group order."""
     if family not in _SCAN_CORPORA:
         raise InvalidParameterError(f"unknown scan family {family!r}")
+    if type(max_order) is not int:
+        raise InvalidParameterError(f"order bound must be an int, got {max_order!r}")
     return _SCAN_CORPORA[family](max_order)
 
 
 def order_p_element_mod(p: int, q: int) -> int:
-    """Smallest t >= 2 of multiplicative order exactly p modulo q; needs p | q-1."""
-    if (q - 1) % p != 0:
-        raise InvalidParameterError(f"{p} does not divide {q} - 1")
+    """Smallest t >= 2 of multiplicative order exactly p modulo q; needs ints
+    p >= 1 and q with p | q-1."""
+    if type(p) is not int or type(q) is not int or p < 1 or (q - 1) % p != 0:
+        raise InvalidParameterError(f"{p!r} does not divide {q!r} - 1")
     for t in range(2, q):
         if pow(t, p, q) == 1:
             return t
@@ -308,8 +311,8 @@ def order_p_element_mod(p: int, q: int) -> int:
 
 def pq_group_spec(p: int, q: int) -> GroupSpec:
     """The non-abelian group of order p*q (p < q primes, p | q-1)."""
-    if not (is_prime(p) and is_prime(q) and p < q):
-        raise InvalidParameterError(f"need primes p < q, got {p}, {q}")
+    if type(p) is not int or type(q) is not int or not (is_prime(p) and is_prime(q) and p < q):
+        raise InvalidParameterError(f"need primes p < q, got {p!r}, {q!r}")
     return GroupSpec("sdp", (q, p, order_p_element_mod(p, q)))
 
 
@@ -319,8 +322,8 @@ def pq_group_spec(p: int, q: int) -> GroupSpec:
 
 def verify_classical_gauss(limit: int) -> SuiteResult:
     """Divisor-sum identity for the integer totient: sum over d | n equals n."""
-    if limit < 1:
-        raise InvalidParameterError(f"limit must be >= 1, got {limit}")
+    if type(limit) is not int or limit < 1:
+        raise InvalidParameterError(f"limit must be >= 1 and an int, got {limit!r}")
     result = SuiteResult(suite_id="gauss")
     for n in range(1, limit + 1):
         result.add(f"n={n}", n, sum(euler_phi(d) for d in divisors(n)))
@@ -346,9 +349,10 @@ def _suite_thm3(result, params, max_order, max_subgroups) -> None:
     bound = params["max_order"]
     _require_order(bound, max_order)
     for spec in abelian_type_specs(bound):
-        summary = summarize_spec(str(spec), max_order, max_subgroups)
-        rank = AbelianType(spec.params).max_rank()
-        expected = "S=|G|" if rank == 1 else "S>|G|+1"
+        # each type is seen once, so, as in a scan, the lattice cache would only hold memory
+        summary = summarize(construct(spec, max_order=max_order), max_subgroups=max_subgroups)
+        # prime-power parts give a cyclic group exactly when they are pairwise coprime
+        expected = "S=|G|" if math.lcm(*spec.params) == spec.order() else "S>|G|+1"
         s, order = summary.s_value, summary.group_order
         if s == order:
             actual = "S=|G|"

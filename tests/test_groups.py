@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from grouptotient import (
-    AbelianType,
     Group,
     GroupSpec,
     InvalidParameterError,
@@ -353,7 +352,6 @@ def test_abelian_invariants_examples():
         assert summary_fields(summarize(construct(spec))) == abelian_expected(parts), spec
     P = construct("product:(cyclic:4)x(cyclic:2)")
     assert summary_fields(summarize(P)) == abelian_expected((2, 4))
-    assert AbelianType((2, 2)).max_rank() == 2
 
 
 @pytest.mark.parametrize(
@@ -449,8 +447,6 @@ def test_order_cap_enforced():
         "sdp:7",
         "product:(modular:3)x(cyclic:2)",
         "sdp:0,3,1",  # n < 1
-        GroupSpec("abelian", ()),  # parse_spec gives no empty type; a caller's spec may
-        GroupSpec("nope", (1,)),  # unknown family: refused when its order is read
     ],
 )
 def test_invalid_parameters_rejected(bad):
@@ -532,11 +528,37 @@ def test_non_integer_tables_are_rejected(table):
             check(table)
 
 
-def test_abelian_type_validation():
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("nope", (1,)),  # unknown family
+        ("modular", (3,)),  # too few parameters
+        ("cyclic", (2, 3)),  # too many
+        ("sdp", (7, 3, 2, 1)),
+        ("cyclic", ()),  # no parameters
+        ("abelian", ()),
+        ("product", ()),
+        ("cyclic", ("6",)),
+        ("dihedral", (6.0,)),
+        ("sdp", (7, 3, True)),  # a bool is not an int
+        ("modular", (None, 4)),
+        ("product", ("cyclic:2", GroupSpec("cyclic", (3,)))),  # a spec string as a part
+        ("abelian", (2, 6)),  # 6 is not a prime power
+        ("abelian", (1,)),
+        ("cyclic", [6]),  # parameters must be a tuple
+        (["cyclic"], (6,)),  # and the family a name
+    ],
+)
+def test_malformed_group_specs_refused_when_built(family, params):
+    """A spec a caller builds directly is checked as parse_spec's are, so
+    construct, the scans and the suites never see a malformed one."""
     with pytest.raises(InvalidParameterError):
-        AbelianType((6,))
-    t = AbelianType((9, 2, 3))
-    assert t.parts == (2, 3, 9)
-    assert t.max_rank() == 2
-    assert AbelianType((2, 3)).max_rank() == 1
-    assert AbelianType((2, 4, 3, 9, 27)).max_rank() == 3
+        GroupSpec(family, params)
+
+
+def test_group_spec_orders_abelian_parts():
+    spec = GroupSpec("abelian", (9, 2, 3))
+    assert spec.params == (2, 3, 9)
+    assert spec == parse_spec("abelian:9,3,2") and str(spec) == "abelian:2,3,9"
+    with pytest.raises(InvalidParameterError, match="^unknown group family 'nope' in 'nope:1,2'$"):
+        GroupSpec("nope", (1, 2))

@@ -12,16 +12,21 @@ from grouptotient import (
     cyclic_totient_sum,
     dihedral_gauss_sum,
     dihedral_totient,
+    divisors,
     euler_phi,
     factorize,
+    family_specs,
     fixed_point_free_decomposition,
     gauss_sum,
     group_totient,
+    pq_group_spec,
     semidirect_gauss_sum,
     summarize,
     two_group_gauss_sum,
+    verify_classical_gauss,
 )
 from grouptotient.lattice import DEFAULT_MAX_SUBGROUPS, _sweep
+from grouptotient.verify import order_p_element_mod
 from naive_oracles import as_group, naive_gauss_sum, naive_phi, naive_subgroup_phi
 from test_lattice_batching import _subgroups
 
@@ -304,3 +309,34 @@ def test_trivial_group_summary():
     s = summarize(construct("cyclic:1"))
     assert (s.group_order, s.phi, s.s_value, s.subgroup_count) == (1, 1, 1, 1)
     assert s.in_class_c and s.cyclic and s.nilpotent
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: dihedral_totient(4.0), InvalidParameterError),
+        (lambda: dihedral_totient(True), InvalidParameterError),
+        (lambda: dihedral_gauss_sum(2.5), InvalidParameterError),
+        (lambda: two_group_gauss_sum("D", 3.5), InvalidParameterError),
+        (lambda: two_group_gauss_sum("SD", 3), InvalidParameterError),
+        (lambda: semidirect_gauss_sum(7, 3, 2.0), InvalidParameterError),
+        (lambda: semidirect_gauss_sum(7.0, 3, 2), InvalidParameterError),
+        (lambda: abelian_p_group_totient([4, "2"]), InvalidParameterError),
+        (lambda: abelian_p_group_totient([]), InvalidParameterError),
+        (lambda: verify_classical_gauss(2.5), InvalidParameterError),
+        (lambda: family_specs("abelian", 10.5), InvalidParameterError),
+        (lambda: pq_group_spec(2.0, 3), InvalidParameterError),
+        (lambda: order_p_element_mod(0, 7), InvalidParameterError),
+        (lambda: order_p_element_mod(2, 7.0), InvalidParameterError),
+        (lambda: euler_phi(2.5), ValueError),
+        (lambda: euler_phi(False), ValueError),
+        (lambda: divisors(0), ValueError),
+        (lambda: divisors(-4), ValueError),
+        (lambda: divisors(6.0), ValueError),
+    ],
+)
+def test_closed_forms_and_helpers_refuse_non_int_or_out_of_domain_arguments(call, error):
+    """Each returned a float, an empty list or an untyped error before; the
+    number theory helpers raise ValueError, as factorize does."""
+    with pytest.raises(error):
+        call()

@@ -44,7 +44,7 @@ from grouptotient.verify import (
     order_p_element_mod,
     subgroup_gauss_sum_from_lattice,
 )
-from naive_oracles import as_group, naive_is_normal, naive_order
+from naive_oracles import abelian_expected, as_group, naive_is_normal, naive_order
 from test_lattice_batching import _subgroups
 
 
@@ -571,6 +571,18 @@ def test_lattice_cache_stores_what_fits_and_never_evicts(monkeypatch):
     lattice("dihedral:6")
     lattice("dihedral:6")
     assert calls == ["dihedral:6"] * 2 and not verify_mod._lattices and held() == 0
+
+
+def test_thm3_summarizes_without_the_lattice_cache(monkeypatch):
+    """thm3 sees each abelian type once, so it leaves the lattice cache
+    empty; its expected column calls exactly the cyclic types S = |G|."""
+    verify_mod, calls = _fresh_lattice_cache(monkeypatch)
+    result = run_suite("thm3", {"max_order": 32})
+    assert verify_mod._lattices == {} and verify_mod._lattice_bytes == 0
+    assert calls == [case.case_id for case in result.cases] == [str(s) for s in abelian_type_specs(32)]
+    for case in result.cases:
+        cyclic = abelian_expected(parse_spec(case.case_id).params)["cyclic"]
+        assert case.expected == ("S=|G|" if cyclic else "S>|G|+1"), case.case_id
 
 
 def test_family_scan_skips_an_over_cap_spec():
