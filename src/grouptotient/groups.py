@@ -64,8 +64,9 @@ class GroupSpec:
     reports.  A spec is checked when it is built: an unknown family, a
     wrong number of parameters (or none), a parameter that is not an int
     (a bool is not; a product's parts must be GroupSpecs) or an abelian
-    part that is not a prime power raises InvalidParameterError.  Abelian
-    parts are stored in ascending order, so one type has one spec.
+    part up to 2**24 that is not a prime power raises
+    InvalidParameterError.  Abelian parts are stored in ascending order,
+    so one type has one spec.
     Whether the parameters name a group (dihedral n >= 2, sdp's
     t**p = 1 mod n, ...) is checked by `construct`.
     """
@@ -86,8 +87,10 @@ class GroupSpec:
         if set(map(type, par)) != {kind}:  # the empty set too: abelian and product need a part
             raise InvalidParameterError(f"{self}: parameters must be one or more {kind.__name__}s, got {par!r}")
         if fam == "abelian":
+            # trial division stays cheap up to 2**24; a larger part's table
+            # (2**48 entries) cannot be built, and construct's order cap refuses it
             for part in par:
-                if prime_power(part) is None:
+                if part <= 1 << 24 and prime_power(part) is None:
                     raise InvalidParameterError(f"abelian type part {part} is not a prime power > 1")
             object.__setattr__(self, "params", tuple(sorted(par)))
 

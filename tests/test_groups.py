@@ -19,6 +19,7 @@ from grouptotient import (
     validate_table,
 )
 from grouptotient import groups
+from grouptotient.cli import main
 from grouptotient.groups import _product_table
 from grouptotient.numtheory import integer_log
 from grouptotient.verify import abelian_type_specs
@@ -420,6 +421,22 @@ def test_direct_product_empty_rejected():
         direct_product([])
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "abelian:1000000000000000000000000000057",  # a prime
+        "abelian:4,170141183460469231731687303715884105727",  # 2**127 - 1, a prime
+        "abelian:1000000000000000000000000000000",  # 10**30, no prime power
+    ],
+)
+def test_huge_abelian_parts_meet_the_order_cap_first(spec):
+    """Building the spec factors none of its parts past 2**24, so an
+    over-cap type is refused at once, as a cyclic one is."""
+    with pytest.raises(OrderOverflowError):
+        construct(spec)
+    assert main(["summarize", "--spec", spec]) == 2
+
+
 def test_order_cap_enforced():
     with pytest.raises(OrderOverflowError):
         construct("cyclic:100", max_order=99)
@@ -545,6 +562,7 @@ def test_non_integer_tables_are_rejected(table):
         ("product", ("cyclic:2", GroupSpec("cyclic", (3,)))),  # a spec string as a part
         ("abelian", (2, 6)),  # 6 is not a prime power
         ("abelian", (1,)),
+        ("abelian", ((1 << 24) - 1,)),  # the largest part still checked
         ("cyclic", [6]),  # parameters must be a tuple
         (["cyclic"], (6,)),  # and the family a name
     ],
